@@ -3324,6 +3324,88 @@ mod tests {
         }
     }
 
+    /// Pins the fields the equivalence suite cannot see: `canon` zeroes
+    /// the four time-weighted means (the reference loop samples them per
+    /// step), so a change to the event core's interval integration — or to
+    /// when a core bumps its occupancy counters — would pass every
+    /// equivalence property. One seeded two-class trace with adapters runs
+    /// through every policy and step kind; the means are compared as exact
+    /// bit patterns and the occupancy peak as an exact count.
+    #[test]
+    fn interval_means_and_occupancy_peaks_are_pinned() {
+        let trace = crate::tenant::MultiTenantSpec::fleet(4.0, 40, 2025).generate();
+        let adapters = AdapterModel::new(64, 4);
+        let spec = SpeculationSpec::new(3, 0.7, 11);
+        let continuous = ServingConfig::continuous(8, 6_000);
+        let paged = ServingConfig::paged(8, 6_000, 16);
+        let cases = [
+            ("continuous", continuous),
+            ("static", ServingConfig::static_batching(8, 6_000)),
+            ("paged", paged),
+            ("paged+prefix", paged.with_prefix_sharing(true)),
+            (
+                "continuous+chunked",
+                continuous.with_chunked_prefill(Some(256)),
+            ),
+            ("paged+chunked", paged.with_chunked_prefill(Some(256))),
+            ("continuous+spec", continuous.with_speculation(spec)),
+            ("paged+spec", paged.with_speculation(spec)),
+        ];
+        // (mean queue depth, mean occupancy, mean block utilization, mean
+        // fragmentation) as bits, then the peak occupied tokens.
+        let pinned: [(u64, u64, u64, u64, usize); 8] = [
+            (4625286797953757586, 4603062165041466593, 0, 0, 5453),
+            (4625735753382962731, 4602676427841837632, 0, 0, 5700),
+            (
+                4625382128220628628,
+                4603274747708365510,
+                4603734379619302069,
+                4581271605968221741,
+                5734,
+            ),
+            (
+                4625403022831581632,
+                4603265299819872720,
+                4606025780884511491,
+                4581293010191465867,
+                5734,
+            ),
+            (4625176975231820208, 4602962029094108463, 0, 0, 5472),
+            (
+                4625286877342173701,
+                4603200196544388713,
+                4603752934834531702,
+                4584832262694418556,
+                5720,
+            ),
+            (4623399215388439594, 4603493341800100762, 0, 0, 5457),
+            (
+                4623533636166654783,
+                4603700893122079724,
+                4604151195252983950,
+                4580402771822732406,
+                5715,
+            ),
+        ];
+        for ((name, config), want) in cases.into_iter().zip(pinned) {
+            let report = sim(config.with_adapters(adapters)).run(&trace);
+            let (util, frag) = report.paged.map_or((0, 0), |p| {
+                (
+                    p.mean_block_utilization.to_bits(),
+                    p.mean_internal_fragmentation.to_bits(),
+                )
+            });
+            let got = (
+                report.mean_queue_depth.to_bits(),
+                report.mean_kv_occupancy.to_bits(),
+                util,
+                frag,
+                report.peak_kv_occupied_tokens,
+            );
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "adapter cache reservation")]
     fn adapter_carve_swallowing_the_pool_panics() {
