@@ -124,29 +124,37 @@ impl SloTarget {
     }
 }
 
+/// A total order on `f64` that ranks every NaN — regardless of its sign
+/// bit — above every non-NaN value, for sorting samples that may hold
+/// NaNs. A comparator that treats NaN as equal to everything
+/// (`partial_cmp(..).unwrap_or(Equal)`) is not a total order: it leaves
+/// `sort_by`'s output unspecified — scrambling the *finite* values too —
+/// and may make it panic. Bare `f64::total_cmp` would put negative-signed
+/// NaNs — what `0.0 / 0.0` produces on x86-64 — *below* the finite values.
+pub(crate) fn nan_last_cmp(a: f64, b: f64) -> std::cmp::Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (true, true) => std::cmp::Ordering::Equal,
+        (true, false) => std::cmp::Ordering::Greater,
+        (false, true) => std::cmp::Ordering::Less,
+        (false, false) => a.total_cmp(&b),
+    }
+}
+
 /// Nearest-rank percentile (`p` in `[0, 100]`) of an unsorted sample.
 /// Returns 0 for an empty sample.
 ///
 /// The sort order is total even when the sample contains NaNs, and every
 /// NaN — regardless of its sign bit — ranks above every finite value, so
 /// NaNs can only surface at the top percentiles instead of silently
-/// scrambling the order (a comparator that treats NaN as equal to
-/// everything leaves `sort_by`'s output unspecified, corrupting p50/p99
-/// for the *finite* latencies too; bare `f64::total_cmp` would put
-/// negative-signed NaNs — what `0.0 / 0.0` produces on x86-64 — *below*
-/// the finite values, making the tail optimistic instead of conservative).
+/// scrambling p50/p99 for the finite latencies, and the tail stays
+/// conservative.
 #[must_use]
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| match (a.is_nan(), b.is_nan()) {
-        (true, true) => std::cmp::Ordering::Equal,
-        (true, false) => std::cmp::Ordering::Greater,
-        (false, true) => std::cmp::Ordering::Less,
-        (false, false) => a.total_cmp(b),
-    });
+    sorted.sort_by(|a, b| nan_last_cmp(*a, *b));
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }

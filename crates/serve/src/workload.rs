@@ -9,6 +9,7 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::lora::AdapterId;
+use crate::metrics::nan_last_cmp;
 use crate::tenant::QosClass;
 
 /// `splitmix64`: the token-id mixer behind [`TokenStream`] (and the
@@ -1129,7 +1130,8 @@ pub struct RequestTrace {
 
 impl RequestTrace {
     /// Builds a trace from explicit requests, sorting by arrival time
-    /// (ties keep their relative order, so replays are stable) and
+    /// (ties keep their relative order, so replays are stable; NaN
+    /// arrivals of either sign sort after every finite one) and
     /// enforcing the [`Request::output_tokens`] ≥ 1 invariant — a replayed
     /// log entry with a zero-length output is served as a single-token
     /// (prefill-only) request rather than wedging the scheduler.
@@ -1138,11 +1140,7 @@ impl RequestTrace {
         for request in &mut requests {
             request.output_tokens = request.output_tokens.max(1);
         }
-        requests.sort_by(|a, b| {
-            a.arrival_s
-                .partial_cmp(&b.arrival_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        requests.sort_by(|a, b| nan_last_cmp(a.arrival_s, b.arrival_s));
         RequestTrace { requests }
     }
 
@@ -1232,6 +1230,39 @@ mod tests {
         assert!(a.requests().iter().all(|r| r.output_tokens >= 1));
         let other_seed = WorkloadSpec::chat(4.0, 200, 43).generate();
         assert_ne!(a, other_seed);
+    }
+
+    /// Regression: the arrival sort used `partial_cmp(..).unwrap_or(Equal)`,
+    /// which is not a total order once a NaN appears — the finite arrivals
+    /// could come out of order, or the sort could panic. NaNs of either
+    /// sign now sort after every finite arrival, which stay ascending.
+    #[test]
+    fn nan_arrivals_sort_last_and_keep_the_finite_order() {
+        let at = |id: usize, arrival_s: f64| Request {
+            id,
+            arrival_s,
+            prompt_tokens: 8,
+            output_tokens: 4,
+            stream: TokenStream::unique(id),
+            qos: QosClass::default(),
+            adapter: AdapterId::BASE,
+        };
+        let trace = RequestTrace::new(vec![
+            at(0, 3.0),
+            at(1, f64::NAN),
+            at(2, 1.0),
+            at(3, -f64::NAN),
+            at(4, 0.5),
+            at(5, 2.0),
+            at(6, f64::NAN),
+            at(7, 1.5),
+        ]);
+        let arrivals: Vec<f64> = trace.requests().iter().map(|r| r.arrival_s).collect();
+        assert_eq!(arrivals[..5], [0.5, 1.0, 1.5, 2.0, 3.0]);
+        assert!(arrivals[5..].iter().all(|a| a.is_nan()));
+        // Equal keys keep their relative order: the NaNs stay as given.
+        let nan_ids: Vec<usize> = trace.requests()[5..].iter().map(|r| r.id).collect();
+        assert_eq!(nan_ids, [1, 3, 6]);
     }
 
     /// Regression: a unit draw of exactly 1.0 used to hit `ln(0) = -inf`,
