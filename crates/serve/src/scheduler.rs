@@ -2,35 +2,36 @@
 //! (PagedAttention-style) variant on the block allocator, and the classic
 //! static (run-to-completion) batching baseline.
 //!
-//! All run on one discrete-event core ([`crate::event`]): simulation time
-//! advances by popping typed events — request arrivals, prefill/decode
-//! step completions, preemption re-queues — off a binary-heap event queue
-//! instead of the old step-and-rescan loop. The engine still alternates
-//! *prefill steps* (process the prompts of newly admitted requests —
-//! prefill-prioritized, as in vLLM's default policy) and *decode steps*
-//! (one token for every running sequence); what changed is the
-//! bookkeeping around them:
+//! All three run on one discrete-event core, `RunCore` ([`crate::event`]):
+//! simulation time advances by popping typed events — request arrivals,
+//! prefill/decode/chunk step completions, preemption re-queues, swap I/O —
+//! off a binary-heap event queue. The engine alternates *prefill steps*
+//! (the prompts of newly admitted requests — prefill-prioritized, as in
+//! vLLM's default policy), *decode steps* (one token, or one speculative
+//! burst, for every running sequence) and, with chunked prefill on,
+//! *chunked steps* mixing both. Around them:
 //!
-//! * arrivals are heap events pulled lazily — one at a time — from the
-//!   request source, which can be a materialized [`RequestTrace`] or any
-//!   arrival-ordered iterator ([`ServingSimulator::run_streamed`]), so a
-//!   multi-million-request workload streams through in O(batch + queue)
-//!   memory (no per-step `next_arrival` probing, and idle spans are one
-//!   pop, not a scan),
+//! * arrivals are pulled lazily — one at a time — from the request source,
+//!   a materialized [`RequestTrace`] or any arrival-ordered iterator
+//!   ([`ServingSimulator::run_streamed`]), so a multi-million-request
+//!   workload streams through in O(batch + queue) memory,
 //! * occupancy, block utilization and fragmentation come from running
-//!   counters maintained at admit/grow/preempt/retire time (no per-step
-//!   stamp walk over every sequence's block list),
+//!   counters maintained at admit/grow/preempt/retire time,
 //! * the time-weighted means integrate the signals over exact inter-event
 //!   intervals — including idle gaps and the partial intervals an arrival
 //!   splits a step into — via [`crate::metrics::TimeWeightedMean`].
 //!
-//! The reserve-up-front policies admit against a request's whole
-//! `prompt + output` footprint, so the KV-cache budget can never be
-//! exceeded and no preemption is needed;
-//! [`SchedulerKind::PagedContinuous`] admits on *current* need, allocates
-//! [`crate::kv`] blocks on demand as sequences grow, shares prompt
-//! prefixes through the [`crate::prefix`] radix cache, and preempts by
-//! recompute when the pool runs dry.
+//! The policies differ only in how the core holds KV, a seam with two
+//! arms. The *reserve* arm (continuous and static batching) admits against
+//! a request's whole `prompt + output` footprint and releases it at
+//! retire, so the budget can never be exceeded and nothing is preempted;
+//! static batching additionally admits only into an empty batch and
+//! releases the batch together. The *paged* arm
+//! ([`SchedulerKind::PagedContinuous`]) admits on *current* need,
+//! allocates [`crate::kv`] blocks on demand as sequences grow, shares
+//! prompt prefixes through the [`crate::prefix`] radix cache, offloads to
+//! [`crate::tier`]s, and preempts (swap or recompute) when the pool runs
+//! dry.
 //!
 //! The pre-event-core step loop survives as a test-only reference
 //! implementation (`scheduler::reference`); the equivalence property
@@ -403,33 +404,6 @@ impl PagedStats {
     }
 }
 
-/// A request resident in the running batch.
-#[derive(Debug, Clone, Copy)]
-struct Active {
-    /// Slot id of the request in the run's slot store.
-    idx: usize,
-    /// Whether the prompt has been processed.
-    prefilled: bool,
-    /// Prompt tokens prefilled so far — the chunk cursor of chunked
-    /// prefill (equals the prompt once `prefilled`; unused, and left at
-    /// zero, when whole prompts prefill in dedicated waves).
-    prefilled_tokens: usize,
-    /// Draft-and-verify bursts this sequence has decoded through — the
-    /// per-sequence counter feeding the deterministic acceptance draws.
-    spec_bursts: u64,
-    /// Time the first output token was produced (valid once prefilled).
-    first_token_s: f64,
-    /// Tokens currently in the KV cache (prompt + generated so far).
-    context_tokens: usize,
-    /// Decode tokens still to generate (the prefill emits the first).
-    remaining_decode: usize,
-    /// KV tokens reserved against the budget at admission.
-    reserved_tokens: usize,
-    /// Time the last output token was produced (set once generation
-    /// finishes; under static batching the slot may stay blocked longer).
-    done_s: Option<f64>,
-}
-
 /// Everything one serving run produced. `PartialEq` so determinism is
 /// directly assertable: two runs of the same trace compare equal.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -618,19 +592,561 @@ impl<C: ServingCostModel> ServingSimulator<C> {
     where
         I: IntoIterator<Item = Request>,
     {
-        if self.config.scheduler == SchedulerKind::PagedContinuous {
-            let mut core = PagedRunCore::new(self.config, requests.into_iter());
-            core.drive(&mut self.cost);
-            core.into_report()
-        } else {
-            let mut core = RunCore::new(self.config, requests.into_iter());
-            core.drive(&mut self.cost);
-            core.into_report()
+        let mut core = RunCore::new(self.config, requests.into_iter());
+        core.drive(&mut self.cost);
+        core.into_report()
+    }
+}
+
+/// A request alive in the run (queued or running) plus the per-request
+/// side state that must survive paged preemption: a victim's blocks are
+/// freed and it re-queues at the front, but its first-token timestamp is
+/// stamped only once (the token was already streamed) and its re-prefill
+/// resumes from `prompt + generated` tokens — the recompute includes
+/// everything it had produced. The slot is recycled once the request
+/// retires or rejects, so the store stays O(batch + queue) on an unbounded
+/// source.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    request: Request,
+    /// Time of the first output token (survives preemption).
+    first_token: Option<f64>,
+    /// Tokens generated before the latest preemption — the recompute
+    /// prefill covers `prompt + generated_before` tokens.
+    generated_before: usize,
+    /// Whether the request was ever admitted (re-admissions after
+    /// preemption do not count twice).
+    was_admitted: bool,
+}
+
+impl Slot {
+    fn new(request: Request) -> Self {
+        Slot {
+            request,
+            first_token: None,
+            generated_before: 0,
+            was_admitted: false,
+        }
+    }
+
+    /// The prompt a (possibly resumed) request must prefill: its original
+    /// prompt plus everything it had generated before preemption.
+    fn prompt(&self) -> usize {
+        self.request.prompt_tokens + self.generated_before
+    }
+}
+
+/// A sequence resident in the running batch. The prefix, tier and block
+/// fields belong to the paged arm and stay empty on the reserve arm.
+#[derive(Debug, Clone)]
+struct Sequence {
+    /// Slot id of the request in the run's slot store.
+    idx: usize,
+    /// Whether the (possibly resumed) prompt has been processed.
+    prefilled: bool,
+    /// Prompt tokens committed so far (cached + promoted + chunked
+    /// prefill) — the chunk cursor of chunked prefill. Unused when whole
+    /// prompts prefill in dedicated waves.
+    prefilled_tokens: usize,
+    /// Draft-and-verify bursts this sequence has decoded through — the
+    /// per-sequence counter feeding the deterministic acceptance draws.
+    spec_bursts: u64,
+    /// Tokens currently resident (prompt + generated so far).
+    context_tokens: usize,
+    /// Decode tokens still to generate in this residency.
+    remaining_decode: usize,
+    /// Prompt tokens served from the prefix cache at admission.
+    cached_prefix_tokens: usize,
+    /// Prompt tokens promoted from a lower KV tier at admission — their
+    /// prefill is priced as a swap-in transfer instead of compute.
+    promoted_tokens: usize,
+    /// Swap-in seconds of the promoted blocks, added to this sequence's
+    /// prefill time.
+    promote_wait_s: f64,
+    /// Whether the sequence is waiting on its swap-in transfer: its HBM
+    /// blocks are reserved but decode makes no progress until the
+    /// [`Event::SwapInDone`] fires.
+    swapping: bool,
+    /// KV blocks this sequence holds a reference to, in sequence order.
+    blocks: Vec<BlockId>,
+    /// Time the last output token was produced (set once generation
+    /// finishes; under static batching the slot may stay blocked longer).
+    done_s: Option<f64>,
+}
+
+impl Sequence {
+    /// A freshly admitted sequence of slot `idx`, nothing prefilled yet.
+    fn admitted(idx: usize) -> Self {
+        Sequence {
+            idx,
+            prefilled: false,
+            prefilled_tokens: 0,
+            spec_bursts: 0,
+            context_tokens: 0,
+            remaining_decode: 0,
+            cached_prefix_tokens: 0,
+            promoted_tokens: 0,
+            promote_wait_s: 0.0,
+            swapping: false,
+            blocks: Vec::new(),
+            done_s: None,
         }
     }
 }
 
-/// The event-driven state of one reserve-up-front serving run.
+/// Where a swap-preempted sequence's KV sits while it waits to re-enter
+/// the batch: enough state to resume decode exactly where it stopped,
+/// without the recompute path's `generated_before` re-prefill.
+#[derive(Debug, Clone, Copy)]
+struct SwappedSeq {
+    /// Tokens resident when the sequence was preempted.
+    context_tokens: usize,
+    /// Decode tokens it still had to generate.
+    remaining_decode: usize,
+    /// HBM blocks it held (and will need again to resume).
+    blocks_needed: usize,
+    /// The tier holding its KV (reservation released at swap-in).
+    tier: TierKind,
+}
+
+/// What the KV arm decided for the queue head admission offered it.
+enum Admission {
+    /// Its completed footprint can never fit the pool: drop it.
+    Reject,
+    /// It does not fit yet: hold it, and the queue behind it, for a later
+    /// boundary. The pick is not committed, so the aging clock stands.
+    Wait,
+    /// Start prefilling this sequence.
+    Admit(Sequence),
+    /// Resume this swapped-out sequence once its swap-in transfer of the
+    /// given seconds lands.
+    Resume(Sequence, f64),
+}
+
+/// The KV seam of a run: how the event core holds KV, the axis on which
+/// the reserve-up-front and paged policies differ.
+enum KvArm {
+    /// Reserve-up-front (continuous and static batching): a request is
+    /// admitted against its whole `prompt + output` footprint and releases
+    /// it at retire, so the budget can never be exceeded and nothing is
+    /// ever preempted. `reserved` is the Σ footprint of the batch.
+    Reserve {
+        reserved: usize,
+        peak_reserved: usize,
+    },
+    /// Paged ([`SchedulerKind::PagedContinuous`]): on-demand blocks,
+    /// prefix sharing, KV tiers and preemption.
+    Paged(Box<PagedKv>),
+}
+
+impl KvArm {
+    /// The paged state; only paged runs grow blocks, preempt or swap.
+    fn paged(&mut self) -> &mut PagedKv {
+        match self {
+            KvArm::Paged(kv) => kv,
+            KvArm::Reserve { .. } => unreachable!("reserve-up-front runs never page"),
+        }
+    }
+}
+
+/// The paged arm's KV state: the block pool, the prefix cache, the tiers
+/// below HBM, and the running counters its [`PagedStats`] report.
+///
+/// Occupancy and fragmentation come from running counters instead of a
+/// per-step walk over every sequence's block list: `run_refs` counts, per
+/// block, the *running sequences* referencing it (the prefix cache's own
+/// references are deliberately excluded), and
+/// `occupied = Σ context − block_size · (Σ run_refs − distinct blocks)`
+/// de-duplicates shared prefix blocks exactly — a shared block is always a
+/// full block fully covered by every sharer's context, so each extra
+/// sharer over-counts exactly `block_size` tokens.
+struct PagedKv {
+    block_size: usize,
+    allocator: BlockAllocator,
+    cache: Option<PrefixCache>,
+    /// Occupancy of the KV tiers below HBM (demoted prefix blocks and
+    /// swap-out reservations).
+    residency: TierResidency,
+    /// Whether any tier below HBM has capacity; cached so the untiered
+    /// hot path pays one branch, never a residency probe.
+    tiers_enabled: bool,
+    /// Swapped-out sequences by slot id, from swap-out until their
+    /// swap-in transfer completes.
+    swapped: HashMap<usize, SwappedSeq>,
+    /// Blocks carved out of the pool up front for the adapter cache (0
+    /// when adapter paging is disabled). Held for the whole run: adapter
+    /// residency churns *within* this reservation.
+    adapter_blocks: usize,
+    /// Victims preempted inside the step being launched; their re-queue
+    /// events are scheduled at the step's completion time (the reference
+    /// loop pushes them mid-step, but the queue is only read at
+    /// boundaries, so deferring to the boundary is equivalent).
+    pending_preemptions: Vec<usize>,
+    /// Victims swapped out inside the step being launched, with their
+    /// swap-out durations; their [`Event::SwapOutDone`] re-queues are
+    /// scheduled when the step is (transfer overlaps the step).
+    pending_swap_outs: Vec<(usize, f64)>,
+    /// Per-block count of *running sequences* referencing it.
+    run_refs: Vec<u32>,
+    /// Σ over blocks of `run_refs` (sequence→block reference pairs).
+    total_run_refs: usize,
+    /// Blocks with at least one running-sequence reference.
+    distinct_blocks: usize,
+    /// Event counters; the allocator, cache and time-weighted fields are
+    /// filled in by [`PagedKv::into_stats`].
+    stats: PagedStats,
+    block_util: TimeWeightedMean,
+    fragmentation: TimeWeightedMean,
+    ddr_occupancy: TimeWeightedMean,
+    disk_occupancy: TimeWeightedMean,
+}
+
+impl PagedKv {
+    fn new(config: ServingConfig, adapter_cache: &mut AdapterCache) -> Self {
+        let block_size = config.block_size;
+        let mut allocator = BlockAllocator::from_token_budget(block_size, config.kv_budget_tokens);
+        let total_blocks = allocator.total_blocks();
+        let mut adapter_blocks = 0;
+        if config.adapters.enabled() {
+            // The adapter cache's weights live *inside* the KV pool (the
+            // S-LoRA unified-paging scheme): carve its blocks out up front
+            // so sequence admission competes against the remainder.
+            adapter_blocks = config.adapters.reserved_blocks(block_size);
+            assert!(
+                adapter_blocks < total_blocks,
+                "the adapter cache reservation must leave KV blocks for sequences"
+            );
+            for _ in 0..adapter_blocks {
+                allocator.alloc().expect("reservation fits the pool");
+            }
+            adapter_cache.set_reserved_blocks(adapter_blocks);
+        }
+        PagedKv {
+            block_size,
+            allocator,
+            cache: config.prefix_sharing.then(|| PrefixCache::new(block_size)),
+            residency: TierResidency::new(config.tiers),
+            tiers_enabled: config.tiers.enabled(),
+            swapped: HashMap::new(),
+            adapter_blocks,
+            pending_preemptions: Vec::new(),
+            pending_swap_outs: Vec::new(),
+            run_refs: vec![0; total_blocks],
+            total_run_refs: 0,
+            distinct_blocks: 0,
+            stats: PagedStats {
+                block_size,
+                total_blocks,
+                peak_allocated_blocks: 0,
+                mean_block_utilization: 0.0,
+                mean_internal_fragmentation: 0.0,
+                preemptions: 0,
+                cache_evictions: 0,
+                cache_peak_resident_blocks: 0,
+                prefix_hit_tokens: 0,
+                prefix_uncached_tokens: 0,
+                swap_outs: 0,
+                swap_ins: 0,
+                swapped_out_blocks: 0,
+                tier_demotions: 0,
+                tier_promotions: 0,
+                kv_transfers: 0,
+                peak_ddr_blocks: 0,
+                peak_disk_blocks: 0,
+                mean_ddr_occupancy: 0.0,
+                mean_disk_occupancy: 0.0,
+            },
+            block_util: TimeWeightedMean::new(),
+            fragmentation: TimeWeightedMean::new(),
+            ddr_occupancy: TimeWeightedMean::new(),
+            disk_occupancy: TimeWeightedMean::new(),
+        }
+    }
+
+    /// Distinct resident tokens across the batch: a prefix block shared by
+    /// several sequences backs one physical block, so its tokens count
+    /// once, not once per sharer — which is what keeps
+    /// `peak_kv_occupied_tokens` within the pool and `mean_kv_occupancy`
+    /// within 1.0 under heavy prefix sharing.
+    fn occupied_tokens(&self, sum_context: usize) -> usize {
+        sum_context - self.block_size * (self.total_run_refs - self.distinct_blocks)
+    }
+
+    /// Integrates the paged signals over an interval of `dt` seconds —
+    /// all O(1) reads of running counters.
+    fn observe(&mut self, occupied: usize, dt: f64) {
+        self.block_util.observe(self.allocator.utilization(), dt);
+        // Internal fragmentation over the sequence-held slots only
+        // (cache-only blocks are full of cached tokens, not waste).
+        let seq_slots = self.distinct_blocks * self.block_size;
+        let frag = if seq_slots > 0 {
+            1.0 - occupied as f64 / seq_slots as f64
+        } else {
+            0.0
+        };
+        self.fragmentation.observe(frag, dt);
+        if self.tiers_enabled {
+            let model = self.residency.model();
+            let ddr_cap = model.ddr.capacity_blocks;
+            let disk_cap = model.disk.capacity_blocks;
+            if ddr_cap > 0 {
+                let used = self.residency.used_blocks(TierKind::Ddr);
+                self.ddr_occupancy.observe(used as f64 / ddr_cap as f64, dt);
+            }
+            if disk_cap > 0 {
+                let used = self.residency.used_blocks(TierKind::Disk);
+                self.disk_occupancy
+                    .observe(used as f64 / disk_cap as f64, dt);
+            }
+        }
+    }
+
+    /// Tokens `active` can still grow by before it needs a fresh block.
+    fn room(&self, active: &Sequence) -> usize {
+        active.blocks.len() * self.block_size - active.context_tokens
+    }
+
+    /// Allocates `count` free blocks onto `blocks` (already checked free)
+    /// and takes a running reference to every block in the list.
+    fn claim(&mut self, mut blocks: Vec<BlockId>, count: usize) -> Vec<BlockId> {
+        for _ in 0..count {
+            blocks.push(self.allocator.alloc().expect("free blocks checked"));
+        }
+        for &block in &blocks {
+            self.add_run_ref(block);
+        }
+        blocks
+    }
+
+    /// A running sequence took a reference to `block`.
+    fn add_run_ref(&mut self, block: BlockId) {
+        if self.run_refs[block] == 0 {
+            self.distinct_blocks += 1;
+        }
+        self.run_refs[block] += 1;
+        self.total_run_refs += 1;
+    }
+
+    /// A sequence leaving the batch drops its references to `blocks`:
+    /// through the prefix cache when one is attached, so its shared-block
+    /// bookkeeping resyncs as the ref-count falls back to the cache's own
+    /// reference (the [`PrefixCache::release`] contract), and straight to
+    /// the allocator otherwise.
+    fn drop_blocks(&mut self, blocks: &[BlockId]) {
+        for &block in blocks {
+            self.run_refs[block] -= 1;
+            if self.run_refs[block] == 0 {
+                self.distinct_blocks -= 1;
+            }
+            self.total_run_refs -= 1;
+            self.release_block(block);
+        }
+    }
+
+    /// Hands one block reference back (see [`PagedKv::drop_blocks`]).
+    fn release_block(&mut self, block: BlockId) {
+        match &mut self.cache {
+            Some(cache) => cache.release(block, &mut self.allocator),
+            None => self.allocator.free(block),
+        }
+    }
+
+    /// Publishes the full blocks of `request`'s first `tokens` tokens into
+    /// the prefix cache (when sharing is on) so later same-prefix requests
+    /// hit.
+    fn publish(&mut self, request: &Request, tokens: usize, blocks: &[BlockId]) {
+        if let Some(cache) = &mut self.cache {
+            let ids = request.stream.token_ids(tokens);
+            cache.insert(&ids, blocks, &mut self.allocator);
+        }
+    }
+
+    /// Frees `need` blocks by evicting cold prefix-cache blocks; `false`
+    /// when that cannot be done. Feasibility is checked *before* evicting:
+    /// a request that cannot be admitted even with the cache fully drained
+    /// must not flush resident blocks for nothing (later same-prefix
+    /// arrivals would lose their hits to a failed admission). The O(cache
+    /// nodes) evictable scan only runs when the free list alone cannot
+    /// cover the need.
+    fn make_room(&mut self, need: usize) -> bool {
+        if self.allocator.free_blocks() < need {
+            let evictable = self
+                .cache
+                .as_ref()
+                .map_or(0, |cache| cache.evictable_blocks(&self.allocator));
+            if self.allocator.free_blocks() + evictable < need {
+                return false;
+            }
+        }
+        while self.allocator.free_blocks() < need {
+            if !self.evict_one() {
+                // Defense in depth: the feasibility count above is the
+                // cascade-deliverable total, but if eviction ever
+                // under-delivers, fall back to head-of-line waiting rather
+                // than spinning on an unevictable cache.
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Evicts one cold prefix-cache block; `false` when nothing is
+    /// evictable (no cache, or every resident block is still shared).
+    /// With tiers enabled the victim *demotes* — its path hash lands in
+    /// the residency map so a later admission can promote it back —
+    /// instead of vanishing.
+    fn evict_one(&mut self) -> bool {
+        if self.tiers_enabled {
+            let Some(cache) = self.cache.as_mut() else {
+                return false;
+            };
+            let Some(hash) = cache.evict_lru_demoting(&mut self.allocator) else {
+                return false;
+            };
+            if self.residency.demote(hash).is_some() {
+                self.stats.tier_demotions += 1;
+                self.note_tier_peaks();
+            }
+            true
+        } else {
+            self.cache
+                .as_mut()
+                .is_some_and(|cache| cache.evict_lru(&mut self.allocator))
+        }
+    }
+
+    /// Updates the peak tier-occupancy counters after a demotion or swap
+    /// reservation.
+    fn note_tier_peaks(&mut self) {
+        let stats = &mut self.stats;
+        stats.peak_ddr_blocks = stats
+            .peak_ddr_blocks
+            .max(self.residency.used_blocks(TierKind::Ddr));
+        stats.peak_disk_blocks = stats
+            .peak_disk_blocks
+            .max(self.residency.used_blocks(TierKind::Disk));
+    }
+
+    /// Probes the lower tiers for demoted continuations of a cached
+    /// prefix: each consecutive demoted block promotes back to HBM, its
+    /// prefill priced as a swap-in transfer instead of compute. Returns
+    /// the promoted token count and the modeled transfer wait.
+    fn promote_demoted_suffix(&mut self, ids: &[u64], cached_tokens: usize) -> (usize, f64) {
+        if !self.tiers_enabled || self.cache.is_none() {
+            return (0, 0.0);
+        }
+        let block_size = self.block_size;
+        let mut hash = PATH_HASH_SEED;
+        for chunk in ids[..cached_tokens].chunks_exact(block_size) {
+            hash = chain_hash(hash, chunk);
+        }
+        let model = *self.residency.model();
+        let mut promoted_tokens = 0;
+        let mut promote_wait_s = 0.0;
+        for chunk in ids[cached_tokens..].chunks_exact(block_size) {
+            let next = chain_hash(hash, chunk);
+            let Some(tier) = self.residency.promote(next) else {
+                break;
+            };
+            promoted_tokens += block_size;
+            promote_wait_s += model.swap_in_seconds(tier, 1);
+            self.stats.tier_promotions += 1;
+            hash = next;
+        }
+        (promoted_tokens, promote_wait_s)
+    }
+
+    /// Paged admission of the queue head in slot `idx`, on *current* need
+    /// — enough free blocks for the prompt and the first output token,
+    /// after prefix-cache hits and cold-block eviction — instead of the
+    /// whole lifetime footprint. Requests whose completed footprint
+    /// exceeds the sequence-usable pool (the adapter cache's carve
+    /// excluded) are rejected outright (they could never run, even alone
+    /// with the cache flushed). A swapped-out victim resumes instead of
+    /// re-prefilling once its blocks fit.
+    fn admission(&mut self, idx: usize, slot: &Slot) -> Admission {
+        if let Some(&swapped) = self.swapped.get(&idx) {
+            let need = swapped.blocks_needed;
+            if !self.make_room(need) {
+                return Admission::Wait;
+            }
+            let blocks = self.claim(Vec::with_capacity(need), need);
+            let swap_in_s = self.residency.model().swap_in_seconds(swapped.tier, need);
+            let active = Sequence {
+                prefilled: true,
+                prefilled_tokens: swapped.context_tokens,
+                context_tokens: swapped.context_tokens,
+                remaining_decode: swapped.remaining_decode,
+                swapping: true,
+                blocks,
+                ..Sequence::admitted(idx)
+            };
+            return Admission::Resume(active, swap_in_s);
+        }
+        let request = slot.request;
+        let full_need = self
+            .allocator
+            .blocks_for_tokens(request.kv_tokens_at_completion());
+        if full_need > self.allocator.total_blocks() - self.adapter_blocks {
+            return Admission::Reject;
+        }
+        let prompt = slot.prompt();
+        // At least one prompt token must be prefilled to produce the next
+        // output token, so the lookup stops one short of the prompt end.
+        let ids = if self.cache.is_some() {
+            request.stream.token_ids(prompt.saturating_sub(1))
+        } else {
+            Vec::new()
+        };
+        let matched = match &mut self.cache {
+            Some(cache) => cache.lookup(&ids, &mut self.allocator),
+            None => Vec::new(),
+        };
+        let cached_tokens = matched.len() * self.block_size;
+        // Blocks for the post-prefill context (prompt + first token).
+        let need_now = self.allocator.blocks_for_tokens(prompt + 1) - matched.len();
+        if !self.make_room(need_now) {
+            // Head-of-line wait: hand the shared references back.
+            for block in matched {
+                self.release_block(block);
+            }
+            return Admission::Wait;
+        }
+        let (promoted_tokens, promote_wait_s) = self.promote_demoted_suffix(&ids, cached_tokens);
+        Admission::Admit(Sequence {
+            // The cached and promoted prefix is already committed context:
+            // chunked prefill resumes after it.
+            prefilled_tokens: cached_tokens + promoted_tokens,
+            cached_prefix_tokens: cached_tokens,
+            promoted_tokens,
+            promote_wait_s,
+            blocks: self.claim(matched, need_now),
+            ..Sequence::admitted(idx)
+        })
+    }
+
+    /// The finished counters, with the allocator, cache and time-weighted
+    /// fields filled in.
+    fn into_stats(self) -> PagedStats {
+        let cache = self
+            .cache
+            .as_ref()
+            .map(PrefixCache::stats)
+            .unwrap_or_default();
+        PagedStats {
+            peak_allocated_blocks: self.allocator.stats().peak_allocated_blocks,
+            mean_block_utilization: self.block_util.mean(),
+            mean_internal_fragmentation: self.fragmentation.mean(),
+            cache_evictions: cache.evictions,
+            cache_peak_resident_blocks: cache.peak_resident_blocks,
+            mean_ddr_occupancy: self.ddr_occupancy.mean(),
+            mean_disk_occupancy: self.disk_occupancy.mean(),
+            ..self.stats
+        }
+    }
+}
+
+/// The event-driven state of one serving run, on either KV arm.
 ///
 /// Engine steps are *computed at their start*: the step's per-request
 /// progress is applied and its completion event scheduled `dt` ahead, so
@@ -643,26 +1159,29 @@ struct RunCore<I> {
     /// arrival event at a time.
     source: I,
     /// Requests currently alive in the run (queued or running), indexed by
-    /// the slot ids that `queue`/`running` carry. Slots are recycled as
-    /// requests retire or reject, so the store stays O(batch + queue)
-    /// even on an unbounded source.
-    slots: Vec<Request>,
+    /// the slot ids that `queue`/`running` carry; recycled on
+    /// retire/reject.
+    slots: Vec<Slot>,
     /// Recycled slot indices available for the next arrival.
     free_slots: Vec<usize>,
     /// Arrival time of the last request pulled from the source (the
     /// trace-duration lower bound of the makespan).
     last_arrival_s: f64,
     events: EventQueue,
-    queue: VecDeque<usize>,
-    running: Vec<Active>,
+    /// Queued slot ids with their QoS class, kept inline so admission's
+    /// class scan over a long backlog reads one contiguous buffer instead
+    /// of every queued slot.
+    queue: VecDeque<(usize, QosClass)>,
+    running: Vec<Sequence>,
     records: Vec<RequestRecord>,
+    kv: KvArm,
+    /// KV tokens the arm can hold: the budget, or the paged pool's whole
+    /// blocks.
+    pool_tokens: usize,
     now: f64,
     /// Whether a step-completion event is pending in the heap.
     step_in_flight: bool,
-    /// KV tokens currently reserved against the budget.
-    reserved: usize,
-    /// Running Σ of `context_tokens` over the batch (the occupancy
-    /// counter the old loop recomputed by scanning every step).
+    /// Running Σ of `context_tokens` over the batch.
     sum_context: usize,
     /// Admitted-but-not-yet-prefilled sequences in the batch.
     pending_prefill: usize,
@@ -671,10 +1190,10 @@ struct RunCore<I> {
     /// The QoS priority-admission policy and its per-class counters.
     qos: QosAdmission,
     /// LRU of resident LoRA adapters; misses price a weight load into the
-    /// step that activates them. Held outside the KV budget here — the
-    /// reserve-up-front policies have no block pool to carve.
+    /// step that activates them. The paged arm carves its blocks out of
+    /// the pool; the reserve arm, with no pool to carve, holds it outside
+    /// the budget.
     adapter_cache: AdapterCache,
-    peak_reserved: usize,
     peak_occupied: usize,
     peak_batch: usize,
     peak_queue: usize,
@@ -688,6 +1207,18 @@ struct RunCore<I> {
 
 impl<I: Iterator<Item = Request>> RunCore<I> {
     fn new(config: ServingConfig, source: I) -> Self {
+        let mut adapter_cache = AdapterCache::new(config.adapters.cache_slots);
+        let (kv, pool_tokens) = if config.scheduler == SchedulerKind::PagedContinuous {
+            let kv = PagedKv::new(config, &mut adapter_cache);
+            let pool_tokens = kv.allocator.total_tokens();
+            (KvArm::Paged(Box::new(kv)), pool_tokens)
+        } else {
+            let kv = KvArm::Reserve {
+                reserved: 0,
+                peak_reserved: 0,
+            };
+            (kv, config.kv_budget_tokens)
+        };
         RunCore {
             config,
             source,
@@ -698,16 +1229,16 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
             queue: VecDeque::new(),
             running: Vec::new(),
             records: Vec::new(),
+            kv,
+            pool_tokens,
             now: 0.0,
             step_in_flight: false,
-            reserved: 0,
             sum_context: 0,
             pending_prefill: 0,
             admitted: 0,
             rejected: 0,
             qos: QosAdmission::new(),
-            adapter_cache: AdapterCache::new(config.adapters.cache_slots),
-            peak_reserved: 0,
+            adapter_cache,
             peak_occupied: 0,
             peak_batch: 0,
             peak_queue: 0,
@@ -720,16 +1251,25 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
         }
     }
 
+    /// Distinct resident KV tokens: Σ context, less the paged arm's
+    /// shared-prefix double counts.
+    fn occupied_tokens(&self) -> usize {
+        match &self.kv {
+            KvArm::Reserve { .. } => self.sum_context,
+            KvArm::Paged(kv) => kv.occupied_tokens(self.sum_context),
+        }
+    }
+
     /// Pulls the next request from the source (if any), stores it in a
     /// recycled slot, and schedules its arrival event.
     fn schedule_next_arrival(&mut self) {
         if let Some(request) = self.source.next() {
             self.last_arrival_s = request.arrival_s;
             let slot = if let Some(slot) = self.free_slots.pop() {
-                self.slots[slot] = request;
+                self.slots[slot] = Slot::new(request);
                 slot
             } else {
-                self.slots.push(request);
+                self.slots.push(Slot::new(request));
                 self.slots.len() - 1
             };
             self.events
@@ -743,13 +1283,20 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
     fn advance_to(&mut self, t: f64) {
         let dt = t - self.now;
         if dt > 0.0 {
+            let occupied = self.occupied_tokens();
             self.queue_depth.observe(self.queue.len() as f64, dt);
-            self.occupancy.observe(
-                self.sum_context as f64 / self.config.kv_budget_tokens as f64,
-                dt,
-            );
+            self.occupancy
+                .observe(occupied as f64 / self.pool_tokens as f64, dt);
+            if let KvArm::Paged(kv) = &mut self.kv {
+                kv.observe(occupied, dt);
+            }
         }
         self.now = t;
+    }
+
+    /// The queue entry of slot `idx`.
+    fn queued(&self, idx: usize) -> (usize, QosClass) {
+        (idx, self.slots[idx].request.qos)
     }
 
     /// Applies one fired event; returns whether it was a step completion
@@ -760,24 +1307,48 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
                 if self.config.kv_ship.enabled() {
                     // Disaggregated decode pool: the request's prefilled
                     // KV must cross the interconnect before admission.
-                    let prompt = self.slots[request].prompt_tokens;
+                    let prompt = self.slots[request].request.prompt_tokens;
                     let at = self.now + self.config.kv_ship.transfer_seconds(prompt);
                     self.events.push(at, Event::KvTransferDone { request });
+                    if let KvArm::Paged(kv) = &mut self.kv {
+                        kv.stats.kv_transfers += 1;
+                    }
                 } else {
-                    self.queue.push_back(request);
+                    self.queue.push_back(self.queued(request));
                 }
                 self.schedule_next_arrival();
                 false
             }
             Event::KvTransferDone { request } => {
-                self.queue.push_back(request);
+                self.queue.push_back(self.queued(request));
+                false
+            }
+            // Preempted work outranks new arrivals: a recompute victim
+            // re-queues at the front (firing in preemption order keeps
+            // successive victims in their original admission order), and
+            // so does a swap victim once its KV has landed in its tier.
+            Event::Preemption { request } | Event::SwapOutDone { request } => {
+                self.queue.push_front(self.queued(request));
+                false
+            }
+            Event::SwapInDone { request } => {
+                let kv = self.kv.paged();
+                let swapped = kv
+                    .swapped
+                    .remove(&request)
+                    .expect("swap-in completion for a sequence that is not swapped");
+                kv.residency.release(swapped.tier, swapped.blocks_needed);
+                kv.stats.swap_ins += 1;
+                let active = self
+                    .running
+                    .iter_mut()
+                    .find(|a| a.idx == request)
+                    .expect("swapping sequence left the batch before its swap-in landed");
+                debug_assert!(active.swapping);
+                active.swapping = false;
                 false
             }
             Event::PrefillDone | Event::DecodeDone | Event::ChunkDone => true,
-            // The reserve-up-front policies never preempt or swap.
-            Event::Preemption { .. } | Event::SwapOutDone { .. } | Event::SwapInDone { .. } => {
-                unreachable!("reserve-up-front runs schedule no preemption or swap I/O")
-            }
         }
     }
 
@@ -811,789 +1382,12 @@ impl<I: Iterator<Item = Request>> RunCore<I> {
         self.peak_queue = self.peak_queue.max(self.queue.len());
         self.admit();
         if self.running.is_empty() {
-            // Admission is always open on an empty batch (both policies),
-            // and an empty batch can reserve against an empty budget, so
-            // the queue must have drained into admissions or rejections.
-            debug_assert!(self.queue.is_empty());
-        } else {
-            self.start_step(cost);
-            self.step_in_flight = true;
-        }
-    }
-
-    /// Admission at this batch boundary: QoS-prioritized FIFO
-    /// ([`QosAdmission::pick`] — plain FIFO on single-class queues), gated
-    /// by the batch limit and the KV reservation budget. Requests whose
-    /// whole footprint exceeds the budget outright are rejected (they
-    /// could never run).
-    fn admit(&mut self) {
-        let admission_open = match self.config.scheduler {
-            // The paged policy has its own run core; this state machine
-            // only ever sees the reserve-up-front kinds.
-            SchedulerKind::ContinuousBatching | SchedulerKind::PagedContinuous => true,
-            SchedulerKind::StaticBatching => self.running.is_empty(),
-        };
-        if !admission_open {
-            return;
-        }
-        while self.running.len() < self.config.max_batch {
-            let Some(pick) = self.qos.pick(
-                self.queue.iter().map(|&s| self.slots[s].qos),
-                self.config.qos_aging,
-            ) else {
-                break;
-            };
-            let head = self.queue[pick.position];
-            let class = self.slots[head].qos;
-            let need = self.slots[head].kv_tokens_at_completion();
-            if need > self.config.kv_budget_tokens {
-                // Could never run on this replica, even alone.
-                self.queue.remove(pick.position);
-                self.rejected += 1;
-                self.qos.record_reject(class);
-                self.free_slots.push(head);
-                continue;
-            }
-            if self.reserved + need > self.config.kv_budget_tokens {
-                // Head-of-line wait for residents to finish. The pick is
-                // not committed, so the aging clock does not advance.
-                break;
-            }
-            self.queue.remove(pick.position);
-            self.qos.record_admit(class, pick);
-            self.reserved += need;
-            self.admitted += 1;
-            self.pending_prefill += 1;
-            self.running.push(Active {
-                idx: head,
-                prefilled: false,
-                prefilled_tokens: 0,
-                spec_bursts: 0,
-                first_token_s: 0.0,
-                context_tokens: 0,
-                remaining_decode: 0,
-                reserved_tokens: need,
-                done_s: None,
-            });
-        }
-        self.peak_reserved = self.peak_reserved.max(self.reserved);
-    }
-
-    /// Launches one engine step — prefill-prioritized, then decode. The
-    /// step's progress is applied now (identical arithmetic to the
-    /// reference loop) and its completion event scheduled `dt` ahead.
-    /// Chunked prefill and speculation branch into their own step kinds;
-    /// with both off, the classic wave/decode paths run unchanged.
-    fn start_step<C: ServingCostModel>(&mut self, cost: &mut C) {
-        self.peak_batch = self.peak_batch.max(self.running.len());
-        let (completion, dt) = if self.pending_prefill > 0 {
-            if self.config.chunk_budget_tokens.is_some() {
-                (Event::ChunkDone, self.chunked_step(cost))
-            } else {
-                (Event::PrefillDone, self.prefill_wave(cost))
-            }
-        } else if self.config.speculation.enabled() {
-            (Event::DecodeDone, self.speculative_decode_step(cost))
-        } else {
-            (Event::DecodeDone, self.decode_step(cost))
-        };
-        let dt = dt + self.adapter_switch_seconds(cost);
-        self.peak_occupied = self.peak_occupied.max(self.sum_context);
-        self.events.push(self.now + dt, completion);
-    }
-
-    /// Adapter-load seconds this step pays: each distinct non-base adapter
-    /// of the batch (in batch order) touches the LRU, and every miss
-    /// streams its weights in via
-    /// [`ServingCostModel::adapter_load_seconds`]. Zero — and no cache
-    /// traffic at all — when adapter paging is disabled or the batch is
-    /// all base-model, which keeps those runs bit-identical.
-    fn adapter_switch_seconds<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        if !self.config.adapters.enabled() {
-            return 0.0;
-        }
-        let weight_tokens = self.config.adapters.weight_tokens;
-        let mut wait = 0.0;
-        let mut seen: Vec<AdapterId> = Vec::new();
-        let slots = &self.slots;
-        let cache = &mut self.adapter_cache;
-        for active in &self.running {
-            let adapter = slots[active.idx].adapter;
-            if adapter.is_base() || seen.contains(&adapter) {
-                continue;
-            }
-            seen.push(adapter);
-            if !cache.touch(adapter) {
-                wait += cost.adapter_load_seconds(weight_tokens);
-            }
-        }
-        wait
-    }
-
-    /// The classic prefill wave: the new prompts run back to back; each
-    /// request's first token appears as its own prefill finishes.
-    fn prefill_wave<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        self.prefill_steps += 1;
-        let mut cursor = self.now;
-        for active in self.running.iter_mut().filter(|a| !a.prefilled) {
-            let request = &self.slots[active.idx];
-            cursor += cost.prefill_seconds(request.prompt_tokens);
-            active.prefilled = true;
-            active.first_token_s = cursor;
-            active.context_tokens = request.prompt_tokens + 1;
-            // Saturating: a deserialized trace can bypass
-            // `RequestTrace::new`'s output_tokens ≥ 1 normalization, and
-            // an underflow here would wedge the run.
-            active.remaining_decode = request.output_tokens.saturating_sub(1);
-            self.sum_context += active.context_tokens;
-        }
-        self.pending_prefill = 0;
-        cursor - self.now
-    }
-
-    /// One plain decode step: every running sequence gains a token.
-    fn decode_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        self.decode_steps += 1;
-        let batch = self.running.len();
-        let max_context = self
-            .running
-            .iter()
-            .map(|a| a.context_tokens)
-            .fold(0, usize::max);
-        let dt = cost.decode_step_seconds(batch, max_context);
-        for active in &mut self.running {
-            if active.remaining_decode > 0 {
-                active.remaining_decode -= 1;
-                active.context_tokens += 1;
-                self.sum_context += 1;
-            }
-        }
-        dt
-    }
-
-    /// One chunked batch step: each unprefilled sequence contributes its
-    /// next prompt chunk, FIFO against the shared token budget, while the
-    /// already-prefilled sequences decode one token alongside — the whole
-    /// [`StepMix`] priced as one unit. A sequence whose last chunk lands
-    /// here emits its first token at the step's end and starts decoding
-    /// *next* step (its token does not ride the decode batch it was not
-    /// part of).
-    fn chunked_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        self.chunk_steps += 1;
-        let budget = self
-            .config
-            .chunk_budget_tokens
-            .expect("chunked dispatch requires a budget");
-        let mut budget_left = budget;
-        // (running index, chunk tokens) of this step's prefill side.
-        let mut chunks: Vec<(usize, usize)> = Vec::new();
-        let mut mix = StepMix::default();
-        let mut decoders: Vec<usize> = Vec::new();
-        for (pos, active) in self.running.iter().enumerate() {
-            if active.prefilled {
-                if active.remaining_decode > 0 {
-                    decoders.push(pos);
-                    mix.max_context_tokens = mix.max_context_tokens.max(active.context_tokens);
-                }
-            } else if budget_left > 0 {
-                let prompt = self.slots[active.idx].prompt_tokens;
-                let take = (prompt - active.prefilled_tokens).min(budget_left);
-                budget_left -= take;
-                chunks.push((pos, take));
-                mix.prefill_chunks.push(ChunkWork {
-                    suffix_tokens: take,
-                    cached_tokens: 0,
-                    committed_tokens: active.prefilled_tokens,
-                });
-            }
-        }
-        mix.decode_batch = decoders.len();
-        let dt = cost.step_seconds(&mix);
-        let end = self.now + dt;
-        // Decode progress first, so a prefill completing in this step does
-        // not also decode in it.
-        for &pos in &decoders {
-            let active = &mut self.running[pos];
-            active.remaining_decode -= 1;
-            active.context_tokens += 1;
-            self.sum_context += 1;
-        }
-        for (pos, take) in chunks {
-            self.chunked_prefill_tokens += take as u64;
-            let active = &mut self.running[pos];
-            active.prefilled_tokens += take;
-            let request = &self.slots[active.idx];
-            if active.prefilled_tokens == request.prompt_tokens {
-                active.prefilled = true;
-                active.first_token_s = end;
-                active.context_tokens = request.prompt_tokens + 1;
-                active.remaining_decode = request.output_tokens.saturating_sub(1);
-                self.sum_context += active.context_tokens;
-                self.pending_prefill -= 1;
-            }
-        }
-        dt
-    }
-
-    /// One draft-and-verify burst: the step is priced as `draft_tokens`
-    /// draft steps plus one verify, and every decoding sequence retires
-    /// its accepted draft prefix plus the verify step's own token.
-    fn speculative_decode_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        self.decode_steps += 1;
-        let spec = self.config.speculation;
-        let batch = self.running.len();
-        let max_context = self
-            .running
-            .iter()
-            .map(|a| a.context_tokens)
-            .fold(0, usize::max);
-        let dt = cost.speculative_burst_seconds(spec.draft_tokens, batch, max_context);
-        let slots = &self.slots;
-        for active in &mut self.running {
-            if active.remaining_decode > 0 {
-                let accepted =
-                    spec.accepted_tokens(slots[active.idx].id as u64, active.spec_bursts);
-                active.spec_bursts += 1;
-                let gained = (accepted + 1).min(active.remaining_decode);
-                active.remaining_decode -= gained;
-                active.context_tokens += gained;
-                self.sum_context += gained;
-            }
-        }
-        dt
-    }
-
-    /// Stamps generation-finish times and retires finished sequences.
-    /// Under static batching a finished request's record closes at its own
-    /// last token, but its slot (and KV reservation) stays blocked until
-    /// the whole batch drains — the padding cost of the baseline.
-    fn retire(&mut self) {
-        // A single-token output is done at the end of its prefill,
-        // everything else at the end of the decode step that produced its
-        // last token.
-        let now = self.now;
-        for active in &mut self.running {
-            if active.prefilled && active.remaining_decode == 0 && active.done_s.is_none() {
-                let request = &self.slots[active.idx];
-                active.done_s = Some(if request.output_tokens == 1 {
-                    active.first_token_s
-                } else {
-                    now
-                });
-            }
-        }
-
-        let batch_done = self.running.iter().all(|a| a.done_s.is_some());
-        let scheduler = self.config.scheduler;
-        let slots = &self.slots;
-        let free_slots = &mut self.free_slots;
-        let records = &mut self.records;
-        let reserved = &mut self.reserved;
-        let sum_context = &mut self.sum_context;
-        self.running.retain(|active| {
-            let release = match scheduler {
-                SchedulerKind::ContinuousBatching | SchedulerKind::PagedContinuous => {
-                    active.done_s.is_some()
-                }
-                SchedulerKind::StaticBatching => batch_done,
-            };
-            if let (true, Some(done_s)) = (release, active.done_s) {
-                let request = &slots[active.idx];
-                records.push(RequestRecord {
-                    id: request.id,
-                    arrival_s: request.arrival_s,
-                    first_token_s: active.first_token_s,
-                    completion_s: done_s,
-                    prompt_tokens: request.prompt_tokens,
-                    output_tokens: request.output_tokens,
-                    qos: request.qos,
-                });
-                *reserved -= active.reserved_tokens;
-                *sum_context -= active.context_tokens;
-                free_slots.push(active.idx);
-                return false;
-            }
-            true
-        });
-    }
-
-    /// Finalizes the report once the source has drained.
-    fn into_report(mut self) -> ServingReport {
-        self.records.sort_by_key(|r| r.id);
-        let makespan = self
-            .records
-            .iter()
-            .map(|r| r.completion_s)
-            .fold(self.now.min(self.last_arrival_s), f64::max);
-        ServingReport {
-            scheduler: self.config.scheduler,
-            records: self.records,
-            admitted: self.admitted,
-            rejected: self.rejected,
-            makespan_s: makespan,
-            kv_budget_tokens: self.config.kv_budget_tokens,
-            peak_kv_reserved_tokens: self.peak_reserved,
-            peak_kv_occupied_tokens: self.peak_occupied,
-            mean_kv_occupancy: self.occupancy.mean(),
-            peak_batch: self.peak_batch,
-            peak_queue_depth: self.peak_queue,
-            mean_queue_depth: self.queue_depth.mean(),
-            decode_steps: self.decode_steps,
-            prefill_steps: self.prefill_steps,
-            chunk_steps: self.chunk_steps,
-            chunked_prefill_tokens: self.chunked_prefill_tokens,
-            qos: self.qos.stats(),
-            adapters: self.adapter_cache.stats(),
-            paged: None,
-        }
-    }
-}
-
-/// A sequence resident in the paged running batch.
-#[derive(Debug, Clone)]
-struct PagedActive {
-    /// Slot id of the request in the run's slot store.
-    idx: usize,
-    /// Whether the (possibly resumed) prompt has been processed.
-    prefilled: bool,
-    /// Prompt tokens committed so far (cached + promoted + chunked
-    /// prefill) — the chunk cursor of chunked prefill. Unused when whole
-    /// prompts prefill in dedicated waves.
-    prefilled_tokens: usize,
-    /// Draft-and-verify bursts this sequence has decoded through — the
-    /// per-sequence counter feeding the deterministic acceptance draws.
-    spec_bursts: u64,
-    /// Tokens currently resident (prompt + generated so far).
-    context_tokens: usize,
-    /// Decode tokens still to generate in this residency.
-    remaining_decode: usize,
-    /// Prompt tokens served from the prefix cache at admission.
-    cached_prefix_tokens: usize,
-    /// Prompt tokens promoted from a lower KV tier at admission — their
-    /// prefill is priced as a swap-in transfer instead of compute.
-    promoted_tokens: usize,
-    /// Swap-in seconds of the promoted blocks, added to this sequence's
-    /// prefill time.
-    promote_wait_s: f64,
-    /// Whether the sequence is waiting on its swap-in transfer: its HBM
-    /// blocks are reserved but decode makes no progress until the
-    /// [`Event::SwapInDone`] fires.
-    swapping: bool,
-    /// KV blocks this sequence holds a reference to, in sequence order.
-    blocks: Vec<BlockId>,
-    /// Time the last output token was produced (set once generation
-    /// finishes).
-    done_s: Option<f64>,
-}
-
-/// Where a swap-preempted sequence's KV sits while it waits to re-enter
-/// the batch: enough state to resume decode exactly where it stopped,
-/// without the recompute path's `generated_before` re-prefill.
-#[derive(Debug, Clone, Copy)]
-struct SwappedSeq {
-    /// Tokens resident when the sequence was preempted.
-    context_tokens: usize,
-    /// Decode tokens it still had to generate.
-    remaining_decode: usize,
-    /// HBM blocks it held (and will need again to resume).
-    blocks_needed: usize,
-    /// The tier holding its KV (reservation released at swap-in).
-    tier: TierKind,
-}
-
-/// A request alive in a paged run (queued or running) plus the per-request
-/// side state that must survive preemption: a victim's blocks are freed
-/// and it re-queues at the front, but its first-token timestamp is stamped
-/// only once (the token was already streamed) and its re-prefill resumes
-/// from `prompt + generated` tokens — the recompute includes everything it
-/// had produced. The slot is recycled once the request retires or
-/// rejects, so the store stays O(batch + queue) on an unbounded source.
-#[derive(Debug, Clone, Copy)]
-struct PagedSlot {
-    request: Request,
-    /// Time of the first output token (survives preemption).
-    first_token: Option<f64>,
-    /// Tokens generated before the latest preemption — the recompute
-    /// prefill covers `prompt + generated_before` tokens.
-    generated_before: usize,
-    /// Whether the request was ever admitted (re-admissions after
-    /// preemption do not count twice).
-    was_admitted: bool,
-}
-
-impl PagedSlot {
-    fn new(request: Request) -> Self {
-        PagedSlot {
-            request,
-            first_token: None,
-            generated_before: 0,
-            was_admitted: false,
-        }
-    }
-}
-
-/// The event-driven state of one paged serving run.
-///
-/// Occupancy and fragmentation come from running counters instead of the
-/// old per-step stamp walk over every sequence's block list: `run_refs`
-/// counts, per block, the *running sequences* referencing it (the prefix
-/// cache's own references are deliberately excluded), and
-/// `occupied = Σ context − block_size · (Σ run_refs − distinct blocks)`
-/// de-duplicates shared prefix blocks exactly like the walk did — a
-/// shared block is always a full block fully covered by every sharer's
-/// context, so each extra sharer over-counts exactly `block_size` tokens.
-struct PagedRunCore<I> {
-    config: ServingConfig,
-    /// Arrival-ordered request source; pulled lazily, one outstanding
-    /// arrival event at a time.
-    source: I,
-    /// Live request slots, indexed by the ids `queue`/`running` carry;
-    /// recycled on retire/reject.
-    slots: Vec<PagedSlot>,
-    /// Recycled slot indices available for the next arrival.
-    free_slots: Vec<usize>,
-    /// Arrival time of the last request pulled from the source.
-    last_arrival_s: f64,
-    events: EventQueue,
-    queue: VecDeque<usize>,
-    running: Vec<PagedActive>,
-    records: Vec<RequestRecord>,
-    allocator: BlockAllocator,
-    cache: Option<PrefixCache>,
-    /// Occupancy of the KV tiers below HBM (demoted prefix blocks and
-    /// swap-out reservations).
-    residency: TierResidency,
-    /// Whether any tier below HBM has capacity; cached so the untiered
-    /// hot path pays one branch, never a residency probe.
-    tiers_enabled: bool,
-    /// Swapped-out sequences by slot id, from swap-out until their
-    /// swap-in transfer completes.
-    swapped: HashMap<usize, SwappedSeq>,
-    now: f64,
-    step_in_flight: bool,
-    admitted: usize,
-    rejected: usize,
-    /// The QoS priority-admission policy and its per-class counters.
-    qos: QosAdmission,
-    /// LRU of resident LoRA adapters, backed by `adapter_blocks`.
-    adapter_cache: AdapterCache,
-    /// Blocks carved out of the pool up front for the adapter cache
-    /// (empty when adapter paging is disabled). Held for the whole run:
-    /// adapter residency churns *within* this reservation.
-    adapter_blocks: Vec<BlockId>,
-    /// Victims preempted inside the step being launched; their re-queue
-    /// events are scheduled at the step's completion time (the reference
-    /// loop pushes them mid-step, but the queue is only read at
-    /// boundaries, so deferring to the boundary is equivalent).
-    pending_preemptions: Vec<usize>,
-    /// Victims swapped out inside the step being launched, with their
-    /// swap-out durations; their [`Event::SwapOutDone`] re-queues are
-    /// scheduled when the step is (transfer overlaps the step).
-    pending_swap_outs: Vec<(usize, f64)>,
-    /// Per-block count of *running sequences* referencing it.
-    run_refs: Vec<u32>,
-    /// Σ over blocks of `run_refs` (sequence→block reference pairs).
-    total_run_refs: usize,
-    /// Blocks with at least one running-sequence reference.
-    distinct_blocks: usize,
-    /// Running Σ of `context_tokens` over the batch.
-    sum_context: usize,
-    /// Admitted-but-not-yet-prefilled sequences in the batch.
-    pending_prefill: usize,
-    preemptions: u64,
-    prefix_hit_tokens: u64,
-    prefix_uncached_tokens: u64,
-    swap_outs: u64,
-    swap_ins: u64,
-    swapped_out_blocks: u64,
-    tier_demotions: u64,
-    tier_promotions: u64,
-    kv_transfers: u64,
-    peak_ddr_blocks: usize,
-    peak_disk_blocks: usize,
-    peak_occupied: usize,
-    peak_batch: usize,
-    peak_queue: usize,
-    decode_steps: u64,
-    prefill_steps: u64,
-    chunk_steps: u64,
-    chunked_prefill_tokens: u64,
-    queue_depth: TimeWeightedMean,
-    occupancy: TimeWeightedMean,
-    block_util: TimeWeightedMean,
-    fragmentation: TimeWeightedMean,
-    ddr_occupancy: TimeWeightedMean,
-    disk_occupancy: TimeWeightedMean,
-}
-
-impl<I: Iterator<Item = Request>> PagedRunCore<I> {
-    fn new(config: ServingConfig, source: I) -> Self {
-        let mut allocator =
-            BlockAllocator::from_token_budget(config.block_size, config.kv_budget_tokens);
-        let total_blocks = allocator.total_blocks();
-        let cache = config
-            .prefix_sharing
-            .then(|| PrefixCache::new(config.block_size));
-        let mut adapter_cache = AdapterCache::new(config.adapters.cache_slots);
-        let mut adapter_blocks = Vec::new();
-        if config.adapters.enabled() {
-            // The adapter cache's weights live *inside* the KV pool
-            // (the S-LoRA unified-paging scheme): carve its blocks out up
-            // front so sequence admission competes against the remainder.
-            let reserve = config.adapters.reserved_blocks(config.block_size);
-            assert!(
-                reserve < total_blocks,
-                "the adapter cache reservation must leave KV blocks for sequences"
-            );
-            for _ in 0..reserve {
-                adapter_blocks.push(allocator.alloc().expect("reservation fits the pool"));
-            }
-            adapter_cache.set_reserved_blocks(reserve);
-        }
-        PagedRunCore {
-            config,
-            source,
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            last_arrival_s: 0.0,
-            events: EventQueue::new(),
-            queue: VecDeque::new(),
-            running: Vec::new(),
-            records: Vec::new(),
-            allocator,
-            cache,
-            residency: TierResidency::new(config.tiers),
-            tiers_enabled: config.tiers.enabled(),
-            swapped: HashMap::new(),
-            now: 0.0,
-            step_in_flight: false,
-            admitted: 0,
-            rejected: 0,
-            qos: QosAdmission::new(),
-            adapter_cache,
-            adapter_blocks,
-            pending_preemptions: Vec::new(),
-            pending_swap_outs: Vec::new(),
-            run_refs: vec![0; total_blocks],
-            total_run_refs: 0,
-            distinct_blocks: 0,
-            sum_context: 0,
-            pending_prefill: 0,
-            preemptions: 0,
-            prefix_hit_tokens: 0,
-            prefix_uncached_tokens: 0,
-            swap_outs: 0,
-            swap_ins: 0,
-            swapped_out_blocks: 0,
-            tier_demotions: 0,
-            tier_promotions: 0,
-            kv_transfers: 0,
-            peak_ddr_blocks: 0,
-            peak_disk_blocks: 0,
-            peak_occupied: 0,
-            peak_batch: 0,
-            peak_queue: 0,
-            decode_steps: 0,
-            prefill_steps: 0,
-            chunk_steps: 0,
-            chunked_prefill_tokens: 0,
-            queue_depth: TimeWeightedMean::new(),
-            occupancy: TimeWeightedMean::new(),
-            block_util: TimeWeightedMean::new(),
-            fragmentation: TimeWeightedMean::new(),
-            ddr_occupancy: TimeWeightedMean::new(),
-            disk_occupancy: TimeWeightedMean::new(),
-        }
-    }
-
-    /// A running sequence took a reference to `block`.
-    fn add_run_ref(&mut self, block: BlockId) {
-        if self.run_refs[block] == 0 {
-            self.distinct_blocks += 1;
-        }
-        self.run_refs[block] += 1;
-        self.total_run_refs += 1;
-    }
-
-    /// A running sequence dropped its reference to `block`.
-    fn drop_run_ref(&mut self, block: BlockId) {
-        self.run_refs[block] -= 1;
-        if self.run_refs[block] == 0 {
-            self.distinct_blocks -= 1;
-        }
-        self.total_run_refs -= 1;
-    }
-
-    /// Drops one sequence-held block reference: through the prefix cache
-    /// when one is attached, so its shared-block bookkeeping resyncs as the
-    /// ref-count falls back to the cache's own reference (the
-    /// [`PrefixCache::release`] contract), and straight to the allocator
-    /// otherwise.
-    fn release_block(&mut self, block: BlockId) {
-        match &mut self.cache {
-            Some(cache) => cache.release(block, &mut self.allocator),
-            None => self.allocator.free(block),
-        }
-    }
-
-    /// Distinct resident tokens across the batch: a prefix block shared by
-    /// several sequences backs one physical block, so its tokens count
-    /// once, not once per sharer — which is what keeps
-    /// `peak_kv_occupied_tokens` within the pool and `mean_kv_occupancy`
-    /// within 1.0 under heavy prefix sharing.
-    fn occupied_tokens(&self) -> usize {
-        self.sum_context - self.config.block_size * (self.total_run_refs - self.distinct_blocks)
-    }
-
-    /// Token slots of the blocks held by at least one running sequence.
-    fn sequence_slots(&self) -> usize {
-        self.distinct_blocks * self.config.block_size
-    }
-
-    /// The prompt a (possibly resumed) request must prefill: its original
-    /// prompt plus everything it had generated before preemption.
-    fn effective_prompt(&self, idx: usize) -> usize {
-        let slot = &self.slots[idx];
-        slot.request.prompt_tokens + slot.generated_before
-    }
-
-    /// Pulls the next request from the source (if any), stores it in a
-    /// recycled slot, and schedules its arrival event.
-    fn schedule_next_arrival(&mut self) {
-        if let Some(request) = self.source.next() {
-            self.last_arrival_s = request.arrival_s;
-            let slot = if let Some(slot) = self.free_slots.pop() {
-                self.slots[slot] = PagedSlot::new(request);
-                slot
-            } else {
-                self.slots.push(PagedSlot::new(request));
-                self.slots.len() - 1
-            };
-            self.events
-                .push(request.arrival_s, Event::Arrival { request: slot });
-        }
-    }
-
-    /// Integrates the time-weighted signals over `[now, t)` — all four are
-    /// O(1) reads of running counters — and advances the clock.
-    fn advance_to(&mut self, t: f64) {
-        let dt = t - self.now;
-        if dt > 0.0 {
-            let occupied = self.occupied_tokens();
-            let seq_slots = self.sequence_slots();
-            self.queue_depth.observe(self.queue.len() as f64, dt);
-            self.occupancy
-                .observe(occupied as f64 / self.allocator.total_tokens() as f64, dt);
-            self.block_util.observe(self.allocator.utilization(), dt);
-            // Internal fragmentation over the sequence-held slots only
-            // (cache-only blocks are full of cached tokens, not waste).
-            let frag = if seq_slots > 0 {
-                1.0 - occupied as f64 / seq_slots as f64
-            } else {
-                0.0
-            };
-            self.fragmentation.observe(frag, dt);
-            if self.tiers_enabled {
-                let model = self.residency.model();
-                let ddr_cap = model.ddr.capacity_blocks;
-                let disk_cap = model.disk.capacity_blocks;
-                if ddr_cap > 0 {
-                    let used = self.residency.used_blocks(TierKind::Ddr);
-                    self.ddr_occupancy.observe(used as f64 / ddr_cap as f64, dt);
-                }
-                if disk_cap > 0 {
-                    let used = self.residency.used_blocks(TierKind::Disk);
-                    self.disk_occupancy
-                        .observe(used as f64 / disk_cap as f64, dt);
-                }
-            }
-        }
-        self.now = t;
-    }
-
-    /// Applies one fired event; returns whether it was a step completion.
-    fn apply(&mut self, event: Event) -> bool {
-        match event {
-            Event::Arrival { request } => {
-                if self.config.kv_ship.enabled() {
-                    // Disaggregated decode pool: the request's prefilled
-                    // KV must cross the interconnect before admission.
-                    let prompt = self.slots[request].request.prompt_tokens;
-                    let at = self.now + self.config.kv_ship.transfer_seconds(prompt);
-                    self.events.push(at, Event::KvTransferDone { request });
-                    self.kv_transfers += 1;
-                } else {
-                    self.queue.push_back(request);
-                }
-                self.schedule_next_arrival();
-                false
-            }
-            Event::KvTransferDone { request } => {
-                self.queue.push_back(request);
-                false
-            }
-            Event::Preemption { request } => {
-                // Preempted work outranks new arrivals; firing in
-                // preemption order re-queues successive victims in their
-                // original admission order.
-                self.queue.push_front(request);
-                false
-            }
-            Event::SwapOutDone { request } => {
-                // The victim's KV landed in its tier: it can re-enter the
-                // batch (at the queue front, like a recompute victim) as
-                // soon as admission finds it HBM blocks.
-                self.queue.push_front(request);
-                false
-            }
-            Event::SwapInDone { request } => {
-                let swapped = self
-                    .swapped
-                    .remove(&request)
-                    .expect("swap-in completion for a sequence that is not swapped");
-                self.residency.release(swapped.tier, swapped.blocks_needed);
-                let active = self
-                    .running
-                    .iter_mut()
-                    .find(|a| a.idx == request)
-                    .expect("swapping sequence left the batch before its swap-in landed");
-                debug_assert!(active.swapping);
-                active.swapping = false;
-                self.swap_ins += 1;
-                false
-            }
-            Event::PrefillDone | Event::DecodeDone | Event::ChunkDone => true,
-        }
-    }
-
-    /// Drives the run to drain.
-    fn drive<C: ServingCostModel>(&mut self, cost: &mut C) {
-        self.schedule_next_arrival();
-        while let Some(scheduled) = self.events.pop() {
-            self.advance_to(scheduled.at_s);
-            let mut step_done = self.apply(scheduled.event);
-            while let Some(next) = self.events.pop_due(self.now) {
-                step_done |= self.apply(next.event);
-            }
-            if step_done || !self.step_in_flight {
-                self.boundary(cost);
-            }
-        }
-    }
-
-    /// One batch boundary: retire, admit, launch the next step.
-    fn boundary<C: ServingCostModel>(&mut self, cost: &mut C) {
-        if self.step_in_flight {
-            self.step_in_flight = false;
-            self.retire();
-        }
-        self.peak_queue = self.peak_queue.max(self.queue.len());
-        self.admit();
-        if self.running.is_empty() {
-            // With no sequences running, every resident block belongs
-            // solely to the prefix cache, so admission can always evict
-            // its way to room for the queue head (whose footprint fits
-            // the pool outright, or it was rejected above).
+            // Admission is always open on an empty batch, an empty batch
+            // can reserve against an empty budget, and with no sequences
+            // running every resident block belongs solely to the prefix
+            // cache, so admission can always evict its way to room for
+            // the queue head: the queue must have drained into admissions
+            // or rejections.
             debug_assert!(self.queue.is_empty());
         } else if self.has_steppable_work() {
             self.start_step(cost);
@@ -1606,9 +1400,10 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
 
     /// Whether a step launched now would make progress: something to
     /// prefill, or at least one running sequence that can actually gain a
-    /// token. Without tiers this is always true of a non-empty batch
-    /// (finished sequences retire at the boundary and unprefilled ones
-    /// count as pending prefill); only swap-in waits can make it false.
+    /// token. Always true of a non-empty batch (finished sequences retire
+    /// at the boundary — under static batching only with the whole batch
+    /// — and unprefilled ones count as pending prefill); only swap-in
+    /// waits can make it false.
     fn has_steppable_work(&self) -> bool {
         self.pending_prefill > 0
             || self
@@ -1617,293 +1412,119 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
                 .any(|a| a.remaining_decode > 0 && !a.swapping)
     }
 
-    /// Probes the lower tiers for demoted continuations of a cached
-    /// prefix: each consecutive demoted block promotes back to HBM, its
-    /// prefill priced as a swap-in transfer instead of compute. Returns
-    /// the promoted token count and the modeled transfer wait.
-    fn promote_demoted_suffix(&mut self, ids: &[u64], cached_tokens: usize) -> (usize, f64) {
-        if !self.tiers_enabled || self.cache.is_none() {
-            return (0, 0.0);
-        }
-        let block_size = self.config.block_size;
-        let mut hash = PATH_HASH_SEED;
-        for chunk in ids[..cached_tokens].chunks_exact(block_size) {
-            hash = chain_hash(hash, chunk);
-        }
-        let model = *self.residency.model();
-        let mut promoted_tokens = 0;
-        let mut promote_wait_s = 0.0;
-        for chunk in ids[cached_tokens..].chunks_exact(block_size) {
-            let next = chain_hash(hash, chunk);
-            let Some(tier) = self.residency.promote(next) else {
-                break;
-            };
-            promoted_tokens += block_size;
-            promote_wait_s += model.swap_in_seconds(tier, 1);
-            self.tier_promotions += 1;
-            hash = next;
-        }
-        (promoted_tokens, promote_wait_s)
-    }
-
-    /// Paged admission: QoS-prioritized FIFO ([`QosAdmission::pick`] —
-    /// plain FIFO on single-class queues), gated by the batch limit and by
-    /// *current* need — enough free blocks for the prompt and the first
-    /// output token, after prefix-cache hits and cold-block eviction —
-    /// instead of the whole lifetime footprint. Requests whose completed
-    /// footprint exceeds the sequence-usable pool (the adapter cache's
-    /// carve excluded) are rejected outright (they could never run, even
-    /// alone with the cache flushed).
+    /// Admission at this batch boundary: QoS-prioritized FIFO
+    /// ([`QosAdmission::pick`] — plain FIFO on single-class queues), gated
+    /// by the batch limit and by the KV arm — the reserve arm against the
+    /// head's whole footprint, the paged arm on current need
+    /// ([`PagedKv::admission`]).
     fn admit(&mut self) {
+        // Static batching forms a batch only when the server is idle.
+        if self.config.scheduler == SchedulerKind::StaticBatching && !self.running.is_empty() {
+            return;
+        }
         while self.running.len() < self.config.max_batch {
             let Some(pick) = self.qos.pick(
-                self.queue.iter().map(|&s| self.slots[s].request.qos),
+                self.queue.iter().map(|&(_, class)| class),
                 self.config.qos_aging,
             ) else {
                 break;
             };
-            let head = self.queue[pick.position];
-            let class = self.slots[head].request.qos;
-            if self.swapped.contains_key(&head) {
-                // A swapped-out victim resumes instead of re-prefilling:
-                // admission waits here (head-of-line within its class)
-                // until its blocks fit, then its swap-in transfer starts.
-                if !self.admit_swap_in(head, pick) {
-                    break;
-                }
-                continue;
-            }
-            let request = self.slots[head].request;
-            let full_need = self
-                .allocator
-                .blocks_for_tokens(request.kv_tokens_at_completion());
-            if full_need > self.allocator.total_blocks() - self.adapter_blocks.len() {
-                self.queue.remove(pick.position);
-                self.rejected += 1;
-                self.qos.record_reject(class);
-                self.free_slots.push(head);
-                continue;
-            }
-            let prompt = self.effective_prompt(head);
-            // At least one prompt token must be prefilled to produce the
-            // next output token, so the lookup stops one short of the
-            // prompt end.
-            let ids = if self.cache.is_some() {
-                request.stream.token_ids(prompt.saturating_sub(1))
-            } else {
-                Vec::new()
-            };
-            let matched = match &mut self.cache {
-                Some(cache) => cache.lookup(&ids, &mut self.allocator),
-                None => Vec::new(),
-            };
-            let cached_tokens = matched.len() * self.config.block_size;
-            // Blocks for the post-prefill context (prompt + first token).
-            let target = self.allocator.blocks_for_tokens(prompt + 1);
-            let need_now = target - matched.len();
-            // Check feasibility *before* evicting: a head request that
-            // cannot be admitted even with the cache fully drained must
-            // not flush resident blocks for nothing (later same-prefix
-            // arrivals would lose their hits to a failed admission). The
-            // O(cache nodes) evictable scan only runs when the free list
-            // alone cannot cover the need.
-            if self.allocator.free_blocks() < need_now {
-                let evictable = self
-                    .cache
-                    .as_ref()
-                    .map_or(0, |cache| cache.evictable_blocks(&self.allocator));
-                if self.allocator.free_blocks() + evictable < need_now {
-                    // Head-of-line wait: hand the shared references back.
-                    for block in matched {
-                        self.release_block(block);
+            let (head, class) = self.queue[pick.position];
+            let admission = match &mut self.kv {
+                KvArm::Reserve {
+                    reserved,
+                    peak_reserved,
+                } => {
+                    let need = self.slots[head].request.kv_tokens_at_completion();
+                    let budget = self.config.kv_budget_tokens;
+                    if need > budget {
+                        Admission::Reject
+                    } else if *reserved + need > budget {
+                        // Head-of-line wait for residents to finish.
+                        Admission::Wait
+                    } else {
+                        *reserved += need;
+                        *peak_reserved = (*peak_reserved).max(*reserved);
+                        Admission::Admit(Sequence::admitted(head))
                     }
-                    break;
                 }
-            }
-            let mut starved = false;
-            while self.allocator.free_blocks() < need_now {
-                if !self.evict_one() {
-                    // Defense in depth: the feasibility count above is the
-                    // cascade-deliverable total, but if eviction ever
-                    // under-delivers, fall back to head-of-line waiting
-                    // rather than spinning on an unevictable cache.
-                    starved = true;
-                    break;
+                KvArm::Paged(kv) => kv.admission(head, &self.slots[head]),
+            };
+            let active = match admission {
+                Admission::Reject => {
+                    self.queue.remove(pick.position);
+                    self.rejected += 1;
+                    self.qos.record_reject(class);
+                    self.free_slots.push(head);
+                    continue;
                 }
-            }
-            if starved {
-                for block in matched {
-                    self.release_block(block);
+                Admission::Wait => break,
+                Admission::Admit(active) => {
+                    let slot = &mut self.slots[head];
+                    if !slot.was_admitted {
+                        slot.was_admitted = true;
+                        self.admitted += 1;
+                    }
+                    self.pending_prefill += 1;
+                    active
                 }
-                break;
-            }
-            let (promoted_tokens, promote_wait_s) =
-                self.promote_demoted_suffix(&ids, cached_tokens);
+                Admission::Resume(active, swap_in_s) => {
+                    self.sum_context += active.context_tokens;
+                    self.events
+                        .push(self.now + swap_in_s, Event::SwapInDone { request: head });
+                    active
+                }
+            };
             self.queue.remove(pick.position);
+            // A resumed victim re-enters the batch too: that is a
+            // per-class batch entry, and it moves the aging clock like a
+            // fresh admission.
             self.qos.record_admit(class, pick);
-            let mut blocks = matched;
-            for _ in 0..need_now {
-                blocks.push(self.allocator.alloc().expect("free blocks checked"));
-            }
-            for &block in &blocks {
-                self.add_run_ref(block);
-            }
-            if !self.slots[head].was_admitted {
-                self.slots[head].was_admitted = true;
-                self.admitted += 1;
-            }
-            self.pending_prefill += 1;
-            self.running.push(PagedActive {
-                idx: head,
-                prefilled: false,
-                // The cached and promoted prefix is already committed
-                // context: chunked prefill resumes after it.
-                prefilled_tokens: cached_tokens + promoted_tokens,
-                spec_bursts: 0,
-                context_tokens: 0,
-                remaining_decode: 0,
-                cached_prefix_tokens: cached_tokens,
-                promoted_tokens,
-                promote_wait_s,
-                swapping: false,
-                blocks,
-                done_s: None,
-            });
+            self.running.push(active);
         }
     }
 
-    /// Re-admits a swapped-out sequence: finds it `blocks_needed` free
-    /// HBM blocks (evicting cold cache blocks as usual), schedules its
-    /// [`Event::SwapInDone`], and parks it in the batch with `swapping`
-    /// set — it holds its slot and blocks but gains no tokens until the
-    /// transfer lands. Returns `false` when the blocks don't fit yet
-    /// (admission waits head-of-line on the in-flight swap-in).
-    fn admit_swap_in(&mut self, head: usize, pick: crate::tenant::QosPick) -> bool {
-        let swapped = self.swapped[&head];
-        let need = swapped.blocks_needed;
-        if self.allocator.free_blocks() < need {
-            let evictable = self
-                .cache
-                .as_ref()
-                .map_or(0, |cache| cache.evictable_blocks(&self.allocator));
-            if self.allocator.free_blocks() + evictable < need {
-                return false;
-            }
-        }
-        while self.allocator.free_blocks() < need {
-            if !self.evict_one() {
-                return false; // defense in depth, as in `admit`
-            }
-        }
-        self.queue.remove(pick.position);
-        // A resumed victim re-enters the batch: that is a per-class batch
-        // entry, and it moves the aging clock like a fresh admission.
-        self.qos.record_admit(self.slots[head].request.qos, pick);
-        let mut blocks = Vec::with_capacity(need);
-        for _ in 0..need {
-            blocks.push(self.allocator.alloc().expect("free blocks checked"));
-        }
-        for &block in &blocks {
-            self.add_run_ref(block);
-        }
-        self.sum_context += swapped.context_tokens;
-        let swap_in = self
-            .residency
-            .model()
-            .swap_in_seconds(swapped.tier, swapped.blocks_needed);
-        self.events
-            .push(self.now + swap_in, Event::SwapInDone { request: head });
-        self.running.push(PagedActive {
-            idx: head,
-            prefilled: true,
-            prefilled_tokens: swapped.context_tokens,
-            spec_bursts: 0,
-            context_tokens: swapped.context_tokens,
-            remaining_decode: swapped.remaining_decode,
-            cached_prefix_tokens: 0,
-            promoted_tokens: 0,
-            promote_wait_s: 0.0,
-            swapping: true,
-            blocks,
-            done_s: None,
-        });
-        true
-    }
-
-    /// Evicts one cold prefix-cache block; `false` when nothing is
-    /// evictable (no cache, or every resident block is still shared).
-    /// With tiers enabled the victim *demotes* — its path hash lands in
-    /// the residency map so a later admission can promote it back —
-    /// instead of vanishing.
-    fn evict_one(&mut self) -> bool {
-        if self.tiers_enabled {
-            let Some(cache) = self.cache.as_mut() else {
-                return false;
-            };
-            let Some(hash) = cache.evict_lru_demoting(&mut self.allocator) else {
-                return false;
-            };
-            if self.residency.demote(hash).is_some() {
-                self.tier_demotions += 1;
-                self.note_tier_peaks();
-            }
-            true
-        } else {
-            self.cache
-                .as_mut()
-                .is_some_and(|cache| cache.evict_lru(&mut self.allocator))
-        }
-    }
-
-    /// Updates the peak tier-occupancy counters after a demotion or swap
-    /// reservation.
-    fn note_tier_peaks(&mut self) {
-        self.peak_ddr_blocks = self
-            .peak_ddr_blocks
-            .max(self.residency.used_blocks(TierKind::Ddr));
-        self.peak_disk_blocks = self
-            .peak_disk_blocks
-            .max(self.residency.used_blocks(TierKind::Disk));
-    }
-
-    /// Launches one engine step — prefill-prioritized, then decode — and
-    /// schedules its completion (plus any preemption re-queues) `dt`
-    /// ahead. Chunked prefill and speculation branch into their own step
-    /// kinds; with both off, the classic wave/decode paths run unchanged.
+    /// Launches one engine step — prefill-prioritized, then decode. The
+    /// step's progress is applied now (identical arithmetic to the
+    /// reference loop) and its completion event — plus any preemption
+    /// re-queues — scheduled `dt` ahead. Chunked prefill branches into its
+    /// own step kind; with it off, the classic wave/decode paths run.
     fn start_step<C: ServingCostModel>(&mut self, cost: &mut C) {
         self.peak_batch = self.peak_batch.max(self.running.len());
         let (completion, dt) = if self.pending_prefill > 0 {
             if self.config.chunk_budget_tokens.is_some() {
                 (Event::ChunkDone, self.chunked_step(cost))
             } else {
-                (Event::PrefillDone, self.prefill_step(cost))
+                (Event::PrefillDone, self.prefill_wave(cost))
             }
-        } else if self.config.speculation.enabled() {
-            (Event::DecodeDone, self.speculative_decode_step(cost))
         } else {
             (Event::DecodeDone, self.decode_step(cost))
         };
         let dt = dt + self.adapter_switch_seconds(cost);
         self.peak_occupied = self.peak_occupied.max(self.occupied_tokens());
         let end = self.now + dt;
-        for victim in std::mem::take(&mut self.pending_preemptions) {
-            self.events.push(end, Event::Preemption { request: victim });
-        }
-        // Swap-out transfers start with the step and overlap it; the
-        // victim re-queues when its writes land (which may be mid-step —
-        // the queue is only read at boundaries, so that is safe).
-        for (victim, dur) in std::mem::take(&mut self.pending_swap_outs) {
-            self.events
-                .push(self.now + dur, Event::SwapOutDone { request: victim });
+        if let KvArm::Paged(kv) = &mut self.kv {
+            for victim in std::mem::take(&mut kv.pending_preemptions) {
+                self.events.push(end, Event::Preemption { request: victim });
+            }
+            // Swap-out transfers start with the step and overlap it; the
+            // victim re-queues when its writes land (which may be mid-step
+            // — the queue is only read at boundaries, so that is safe).
+            for (victim, dur) in std::mem::take(&mut kv.pending_swap_outs) {
+                self.events
+                    .push(self.now + dur, Event::SwapOutDone { request: victim });
+            }
         }
         self.events.push(end, completion);
     }
 
-    /// Adapter-load seconds this step pays — the [`RunCore`] rule verbatim
-    /// (distinct non-base adapters in batch order, misses priced by
-    /// [`ServingCostModel::adapter_load_seconds`]), except that swap-in
-    /// waiters contribute nothing: they gain no token this step, so their
-    /// adapter is not activated.
+    /// Adapter-load seconds this step pays: each distinct non-base adapter
+    /// of the batch (in batch order) touches the LRU, and every miss
+    /// streams its weights in via
+    /// [`ServingCostModel::adapter_load_seconds`]. Swap-in waiters gain no
+    /// token this step, so their adapter is not activated. Zero — and no
+    /// cache traffic at all — when adapter paging is disabled or the batch
+    /// is all base-model, which keeps those runs bit-identical.
     fn adapter_switch_seconds<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
         if !self.config.adapters.enabled() {
             return 0.0;
@@ -1926,120 +1547,177 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         wait
     }
 
-    /// Prefills every newly admitted (or resumed) sequence back to back,
-    /// pricing only the uncached suffix, and publishes the prompt's full
-    /// blocks into the prefix cache so concurrent and later same-prefix
-    /// requests hit.
-    fn prefill_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
+    /// Closes the prefill of `active` at `at`: the prompt plus its first
+    /// (or, resumed, next) token is resident, the first-token time is
+    /// stamped once per request, and a sequence with nothing left to
+    /// decode is done on the spot.
+    fn finish_prefill(active: &mut Sequence, slot: &mut Slot, kv: &mut KvArm, at: f64) {
+        let prompt = slot.prompt();
+        active.prefilled = true;
+        active.context_tokens = prompt + 1;
+        // Saturating: a deserialized trace can bypass `RequestTrace::new`'s
+        // output_tokens ≥ 1 normalization, and an underflow here would
+        // wedge the run.
+        active.remaining_decode = slot
+            .request
+            .output_tokens
+            .saturating_sub(1 + slot.generated_before);
+        if slot.first_token.is_none() {
+            slot.first_token = Some(at);
+        }
+        if active.remaining_decode == 0 {
+            active.done_s = Some(at);
+        }
+        if let KvArm::Paged(kv) = kv {
+            let cached = active.cached_prefix_tokens;
+            kv.stats.prefix_hit_tokens += cached as u64;
+            kv.stats.prefix_uncached_tokens += (prompt - cached - active.promoted_tokens) as u64;
+        }
+    }
+
+    /// The classic prefill wave: the new (or resumed) prompts run back to
+    /// back; each request's first token appears as its own prefill
+    /// finishes. The paged arm prices only the uncached suffix and
+    /// publishes the prompt's full blocks into the prefix cache so
+    /// concurrent and later same-prefix requests hit.
+    fn prefill_wave<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
         self.prefill_steps += 1;
         let mut cursor = self.now;
         for active in self.running.iter_mut().filter(|a| !a.prefilled) {
             let slot = &mut self.slots[active.idx];
-            let request = slot.request;
-            let prompt = request.prompt_tokens + slot.generated_before;
-            let cached = active.cached_prefix_tokens;
-            // Promoted tokens skip the prefill compute like cached ones,
-            // but pay their swap-in transfer instead.
-            cursor += cost.prefill_seconds_cached(prompt, cached + active.promoted_tokens);
+            let prompt = slot.prompt();
+            cursor += match self.kv {
+                KvArm::Reserve { .. } => cost.prefill_seconds(prompt),
+                // Promoted tokens skip the prefill compute like cached
+                // ones, but pay their swap-in transfer instead.
+                KvArm::Paged(_) => cost.prefill_seconds_cached(
+                    prompt,
+                    active.cached_prefix_tokens + active.promoted_tokens,
+                ),
+            };
             if active.promote_wait_s > 0.0 {
                 cursor += active.promote_wait_s;
             }
-            active.prefilled = true;
-            active.context_tokens = prompt + 1;
-            self.sum_context += active.context_tokens;
-            // Saturating for the same reason as the reserve-up-front path:
-            // a denormalized zero-output request must not underflow.
-            active.remaining_decode = request
-                .output_tokens
-                .saturating_sub(1 + slot.generated_before);
-            if slot.first_token.is_none() {
-                slot.first_token = Some(cursor);
-            }
-            if active.remaining_decode == 0 {
-                // The prefill produced the final token (single-token
-                // output, or a resume that had one token left).
-                active.done_s = Some(cursor);
-            }
-            self.prefix_hit_tokens += cached as u64;
-            self.prefix_uncached_tokens += (prompt - cached - active.promoted_tokens) as u64;
-            if let Some(cache) = &mut self.cache {
-                let ids = request.stream.token_ids(prompt);
-                cache.insert(&ids, &active.blocks, &mut self.allocator);
+            let before = active.context_tokens;
+            Self::finish_prefill(active, slot, &mut self.kv, cursor);
+            self.sum_context += active.context_tokens - before;
+            if let KvArm::Paged(kv) = &mut self.kv {
+                kv.publish(&slot.request, prompt, &active.blocks);
             }
         }
         self.pending_prefill = 0;
         cursor - self.now
     }
 
-    /// One decode step: every running sequence gains a token, allocating a
-    /// fresh block at each block boundary. Allocation failure resolves by
-    /// evicting cold cache blocks first and preempting the latest-admitted
-    /// sequence (recompute) second.
+    /// One decode step: every running sequence gains a token, or — under
+    /// speculation — the step is a draft-and-verify burst priced as
+    /// `draft_tokens` draft steps plus one verify, and every decoding
+    /// sequence gains its accepted draft prefix plus the verify step's own
+    /// token.
     fn decode_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
         self.decode_steps += 1;
+        let spec = self.config.speculation;
         let batch = self.running.len();
         let max_context = self
             .running
             .iter()
             .map(|a| a.context_tokens)
             .fold(0, usize::max);
-        let dt = cost.decode_step_seconds(batch, max_context);
+        let dt = if spec.enabled() {
+            cost.speculative_burst_seconds(spec.draft_tokens, batch, max_context)
+        } else {
+            cost.decode_step_seconds(batch, max_context)
+        };
+        self.decode_tokens(cost, spec.enabled());
+        dt
+    }
+
+    /// Grows every sequence that can decode by its burst: one token, or
+    /// with `speculate` its seeded accepted-draft count plus one (capped at
+    /// what it has left) — a plain decode is a burst that gains one token.
+    /// On the paged arm a token that crosses a block boundary first takes
+    /// a fresh block ([`RunCore::grow`]); a sequence that must preempt
+    /// itself keeps nothing from the rest of its burst (the recompute
+    /// prefill covers what it had committed). Swap-in waiters hold their
+    /// batch slot but gain no token until the transfer lands.
+    fn decode_tokens<C: ServingCostModel>(&mut self, cost: &mut C, speculate: bool) {
+        let spec = self.config.speculation;
         let mut i = 0;
-        while i < self.running.len() {
-            // Swap-in waiters hold their batch slot but gain no token
-            // until the transfer lands.
-            if self.running[i].remaining_decode == 0 || self.running[i].swapping {
+        'sequences: while i < self.running.len() {
+            let active = &mut self.running[i];
+            if active.remaining_decode == 0 || active.swapping {
                 i += 1;
                 continue;
             }
-            let active = &self.running[i];
-            let needs_block =
-                self.allocator.blocks_for_tokens(active.context_tokens + 1) > active.blocks.len();
-            if needs_block {
-                match self.grow(i, cost) {
-                    Some(at) => i = at,
-                    None => continue, // self-preempted; `i` now names the next sequence
+            let mut burst = if speculate {
+                let id = self.slots[active.idx].request.id as u64;
+                let accepted = spec.accepted_tokens(id, active.spec_bursts);
+                active.spec_bursts += 1;
+                (accepted + 1).min(active.remaining_decode)
+            } else {
+                1
+            };
+            while burst > 0 {
+                // Tokens the held KV can take: the reserve arm holds its
+                // whole footprint, a paged sequence what its blocks cover.
+                let room = match &self.kv {
+                    KvArm::Reserve { .. } => burst,
+                    KvArm::Paged(kv) => kv.room(&self.running[i]),
+                };
+                if room == 0 {
+                    // Self-preempted: `i` now names the next sequence.
+                    let Some(at) = self.grow(i, cost) else {
+                        continue 'sequences;
+                    };
+                    i = at;
+                    continue;
                 }
+                let gained = burst.min(room);
+                let active = &mut self.running[i];
+                active.context_tokens += gained;
+                active.remaining_decode -= gained;
+                self.sum_context += gained;
+                burst -= gained;
             }
-            let active = &mut self.running[i];
-            active.context_tokens += 1;
-            active.remaining_decode -= 1;
-            self.sum_context += 1;
             i += 1;
         }
-        dt
     }
 
     /// One chunked batch step: each unprefilled sequence contributes its
     /// next prompt chunk, FIFO against the shared token budget, while the
     /// already-prefilled sequences decode one token alongside — the whole
     /// [`StepMix`] priced as one unit, plus any promoted prefix's swap-in
-    /// wait at its sequence's first chunk. Chunk-completed full blocks
-    /// publish into the prefix cache *incrementally*, so a concurrent
-    /// same-prefix arrival hits mid-document. Chunks are keyed by slot id:
-    /// the decode side can preempt and shift running indices, but
-    /// mid-prefill sequences are never victims (their `remaining_decode`
-    /// is zero), so they survive the step.
+    /// wait at its sequence's first chunk. A sequence whose last chunk
+    /// lands here emits its first token at the step's end and starts
+    /// decoding *next* step (its token does not ride the decode batch it
+    /// was not part of).
+    ///
+    /// On the paged arm committed context is resident context, growing
+    /// chunk by chunk, and chunk-completed full blocks publish into the
+    /// prefix cache *incrementally*, so a concurrent same-prefix arrival
+    /// hits mid-document; the reserve arm counts a prompt toward
+    /// occupancy only once it completes. Chunks are keyed by slot id: the
+    /// decode side can preempt and shift running indices, but mid-prefill
+    /// sequences are never victims (their `remaining_decode` is zero), so
+    /// they survive the step.
     fn chunked_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
         self.chunk_steps += 1;
-        let budget = self
+        let mut budget_left = self
             .config
             .chunk_budget_tokens
             .expect("chunked dispatch requires a budget");
-        let mut budget_left = budget;
         // (slot id, chunk tokens) of this step's prefill side.
         let mut chunks: Vec<(usize, usize)> = Vec::new();
         let mut mix = StepMix::default();
-        let mut decode_batch = 0;
         let mut promote_wait = 0.0;
         for active in &self.running {
             if active.prefilled {
                 if active.remaining_decode > 0 && !active.swapping {
-                    decode_batch += 1;
+                    mix.decode_batch += 1;
                     mix.max_context_tokens = mix.max_context_tokens.max(active.context_tokens);
                 }
             } else if budget_left > 0 {
-                let prompt = self.effective_prompt(active.idx);
+                let prompt = self.slots[active.idx].prompt();
                 let committed = active.cached_prefix_tokens + active.promoted_tokens;
                 let take = (prompt - active.prefilled_tokens).min(budget_left);
                 budget_left -= take;
@@ -2056,33 +1734,12 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
                 });
             }
         }
-        mix.decode_batch = decode_batch;
         let dt = cost.step_seconds(&mix) + promote_wait;
         let end = self.now + dt;
-        // Decode progress first (so a prefill completing in this step does
-        // not also decode in it), mirroring the plain decode step's
-        // grow-and-preempt loop.
-        let mut i = 0;
-        while i < self.running.len() {
-            if self.running[i].remaining_decode == 0 || self.running[i].swapping {
-                i += 1;
-                continue;
-            }
-            let active = &self.running[i];
-            let needs_block =
-                self.allocator.blocks_for_tokens(active.context_tokens + 1) > active.blocks.len();
-            if needs_block {
-                match self.grow(i, cost) {
-                    Some(at) => i = at,
-                    None => continue, // self-preempted; `i` names the next sequence
-                }
-            }
-            let active = &mut self.running[i];
-            active.context_tokens += 1;
-            active.remaining_decode -= 1;
-            self.sum_context += 1;
-            i += 1;
-        }
+        // Decode progress first, so a prefill completing in this step does
+        // not also decode in it.
+        self.decode_tokens(cost, false);
+        let paged = matches!(self.kv, KvArm::Paged(_));
         for (slot, take) in chunks {
             self.chunked_prefill_tokens += take as u64;
             let pos = self
@@ -2091,112 +1748,37 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
                 .position(|a| a.idx == slot)
                 .expect("mid-prefill sequences are never preempted");
             let active = &mut self.running[pos];
+            let slot = &mut self.slots[slot];
             active.prefilled_tokens += take;
-            // Committed context is resident context: growing it with the
-            // cursor keeps the shared-block occupancy arithmetic exact
-            // while the document streams in.
-            let before = active.context_tokens;
-            active.context_tokens = active.prefilled_tokens;
-            self.sum_context += active.context_tokens - before;
-            let slot_state = &mut self.slots[slot];
-            let request = slot_state.request;
-            let prompt = request.prompt_tokens + slot_state.generated_before;
-            if active.prefilled_tokens == prompt {
-                active.prefilled = true;
-                active.context_tokens = prompt + 1;
-                self.sum_context += 1;
-                active.remaining_decode = request
-                    .output_tokens
-                    .saturating_sub(1 + slot_state.generated_before);
-                if slot_state.first_token.is_none() {
-                    slot_state.first_token = Some(end);
-                }
-                if active.remaining_decode == 0 {
-                    active.done_s = Some(end);
-                }
-                self.prefix_hit_tokens += active.cached_prefix_tokens as u64;
-                self.prefix_uncached_tokens +=
-                    (prompt - active.cached_prefix_tokens - active.promoted_tokens) as u64;
+            if paged {
+                self.sum_context += active.prefilled_tokens - active.context_tokens;
+                active.context_tokens = active.prefilled_tokens;
+            }
+            if active.prefilled_tokens == slot.prompt() {
+                let before = active.context_tokens;
+                Self::finish_prefill(active, slot, &mut self.kv, end);
+                self.sum_context += active.context_tokens - before;
                 self.pending_prefill -= 1;
             }
-            if let Some(cache) = &mut self.cache {
-                // Publish the chunk-completed blocks now, not at the end
-                // of the whole prompt.
-                let active = &self.running[pos];
-                let ids = request.stream.token_ids(active.prefilled_tokens);
-                cache.insert(&ids, &active.blocks, &mut self.allocator);
+            if let KvArm::Paged(kv) = &mut self.kv {
+                kv.publish(&slot.request, active.prefilled_tokens, &active.blocks);
             }
         }
         dt
     }
 
-    /// One draft-and-verify burst: the step is priced as `draft_tokens`
-    /// draft steps plus one verify, and every decoding sequence retires
-    /// its accepted draft prefix plus the verify step's own token —
-    /// growing blocks token by token, with the plain step's
-    /// evict-then-preempt fallback. A sequence that must preempt *itself*
-    /// mid-burst keeps nothing from the burst's remainder (the recompute
-    /// prefill covers what it had committed).
-    fn speculative_decode_step<C: ServingCostModel>(&mut self, cost: &mut C) -> f64 {
-        self.decode_steps += 1;
-        let spec = self.config.speculation;
-        let batch = self.running.len();
-        let max_context = self
-            .running
-            .iter()
-            .map(|a| a.context_tokens)
-            .fold(0, usize::max);
-        let dt = cost.speculative_burst_seconds(spec.draft_tokens, batch, max_context);
-        let mut i = 0;
-        while i < self.running.len() {
-            if self.running[i].remaining_decode == 0 || self.running[i].swapping {
-                i += 1;
-                continue;
-            }
-            let accepted = {
-                let active = &mut self.running[i];
-                let id = self.slots[active.idx].request.id as u64;
-                let accepted = spec.accepted_tokens(id, active.spec_bursts);
-                active.spec_bursts += 1;
-                accepted
-            };
-            let gained = (accepted + 1).min(self.running[i].remaining_decode);
-            let mut preempted_self = false;
-            for _ in 0..gained {
-                let active = &self.running[i];
-                let needs_block = self.allocator.blocks_for_tokens(active.context_tokens + 1)
-                    > active.blocks.len();
-                if needs_block {
-                    if let Some(at) = self.grow(i, cost) {
-                        i = at;
-                    } else {
-                        preempted_self = true;
-                        break;
-                    }
-                }
-                let active = &mut self.running[i];
-                active.context_tokens += 1;
-                active.remaining_decode -= 1;
-                self.sum_context += 1;
-            }
-            if !preempted_self {
-                i += 1;
-            }
-        }
-        dt
-    }
-
-    /// Obtains one more block for the sequence at `i`, evicting and then
-    /// preempting as needed. Returns the sequence's (possibly shifted)
-    /// index, or `None` if the sequence had to preempt itself.
+    /// Obtains one more block for the paged sequence at `i`, evicting and
+    /// then preempting as needed. Returns the sequence's (possibly
+    /// shifted) index, or `None` if the sequence had to preempt itself.
     fn grow<C: ServingCostModel>(&mut self, mut i: usize, cost: &mut C) -> Option<usize> {
         loop {
-            if let Some(block) = self.allocator.alloc() {
+            let kv = self.kv.paged();
+            if let Some(block) = kv.allocator.alloc() {
+                kv.add_run_ref(block);
                 self.running[i].blocks.push(block);
-                self.add_run_ref(block);
                 return Some(i);
             }
-            if self.evict_one() {
+            if kv.evict_one() {
                 continue;
             }
             // Preempt the latest-admitted sequence that is still decoding
@@ -2217,7 +1799,7 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         }
     }
 
-    /// Preempts the sequence at `j`, choosing swap-vs-recompute by
+    /// Preempts the paged sequence at `j`, choosing swap-vs-recompute by
     /// modeled cost. Either way the victim's HBM blocks are freed and it
     /// re-enters the queue *front* — through a [`Event::SwapOutDone`]
     /// when its writes land, or a [`Event::Preemption`] at the step's end
@@ -2234,22 +1816,20 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
         let victim = self.running.remove(j);
         debug_assert!(victim.prefilled && !victim.swapping);
         self.sum_context -= victim.context_tokens;
-        self.preemptions += 1;
-        if self.tiers_enabled {
+        let kv = self.kv.paged();
+        kv.stats.preemptions += 1;
+        if kv.tiers_enabled {
             let blocks_needed = victim.blocks.len();
-            if let Some(tier) = self.residency.can_reserve(blocks_needed) {
-                let model = *self.residency.model();
-                let swap_s = model.swap_out_seconds(tier, blocks_needed)
-                    + model.swap_in_seconds(tier, blocks_needed);
+            if let Some(tier) = kv.residency.can_reserve(blocks_needed) {
+                let model = *kv.residency.model();
+                let swap_out_s = model.swap_out_seconds(tier, blocks_needed);
+                let swap_s = swap_out_s + model.swap_in_seconds(tier, blocks_needed);
                 if swap_s < cost.prefill_seconds(victim.context_tokens) {
-                    let reserved = self.residency.reserve_swap(blocks_needed);
+                    let reserved = kv.residency.reserve_swap(blocks_needed);
                     debug_assert_eq!(reserved, Some(tier));
-                    self.note_tier_peaks();
-                    for block in victim.blocks {
-                        self.drop_run_ref(block);
-                        self.release_block(block);
-                    }
-                    self.swapped.insert(
+                    kv.note_tier_peaks();
+                    kv.drop_blocks(&victim.blocks);
+                    kv.swapped.insert(
                         victim.idx,
                         SwappedSeq {
                             context_tokens: victim.context_tokens,
@@ -2258,56 +1838,62 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
                             tier,
                         },
                     );
-                    self.pending_swap_outs
-                        .push((victim.idx, model.swap_out_seconds(tier, blocks_needed)));
-                    self.swap_outs += 1;
-                    self.swapped_out_blocks += blocks_needed as u64;
+                    kv.pending_swap_outs.push((victim.idx, swap_out_s));
+                    kv.stats.swap_outs += 1;
+                    kv.stats.swapped_out_blocks += blocks_needed as u64;
                     return;
                 }
             }
         }
         let slot = &mut self.slots[victim.idx];
         slot.generated_before = victim.context_tokens - slot.request.prompt_tokens;
-        for block in victim.blocks {
-            self.drop_run_ref(block);
-            self.release_block(block);
-        }
-        self.pending_preemptions.push(victim.idx);
+        kv.drop_blocks(&victim.blocks);
+        kv.pending_preemptions.push(victim.idx);
     }
 
-    /// Retires finished sequences: publishes their full blocks (prompt +
-    /// output) into the prefix cache so later conversation turns hit, then
-    /// releases every block reference.
+    /// Stamps generation-finish times and retires finished sequences,
+    /// handing their KV back: the reserve arm releases the reservation,
+    /// the paged arm publishes the sequence's full blocks (prompt +
+    /// output) into the prefix cache — so later conversation turns hit —
+    /// and drops its block references. Under static batching a finished
+    /// request's record closes at its own last token, but its slot (and
+    /// KV) stays blocked until the whole batch drains — the padding cost
+    /// of the baseline.
     fn retire(&mut self) {
+        // A sequence the prefill finished is already stamped; everything
+        // else is done at the end of the step that produced its last
+        // token.
         let now = self.now;
         for active in &mut self.running {
             if active.prefilled && active.remaining_decode == 0 && active.done_s.is_none() {
                 active.done_s = Some(now);
             }
         }
-        let mut retired = Vec::new();
+        if self.config.scheduler == SchedulerKind::StaticBatching
+            && self.running.iter().any(|a| a.done_s.is_none())
+        {
+            return;
+        }
+        let slots = &self.slots;
+        let kv = &mut self.kv;
+        let sum_context = &mut self.sum_context;
+        let records = &mut self.records;
+        let free_slots = &mut self.free_slots;
         self.running.retain(|active| {
-            if active.done_s.is_some() {
-                retired.push(active.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for active in retired {
-            let done_s = active.done_s.expect("retired implies done");
-            let slot = self.slots[active.idx];
+            let Some(done_s) = active.done_s else {
+                return true;
+            };
+            let slot = &slots[active.idx];
             let request = slot.request;
-            if let Some(cache) = &mut self.cache {
-                let ids = request.stream.token_ids(active.context_tokens);
-                cache.insert(&ids, &active.blocks, &mut self.allocator);
+            match kv {
+                KvArm::Reserve { reserved, .. } => *reserved -= request.kv_tokens_at_completion(),
+                KvArm::Paged(kv) => {
+                    kv.publish(&request, active.context_tokens, &active.blocks);
+                    kv.drop_blocks(&active.blocks);
+                }
             }
-            self.sum_context -= active.context_tokens;
-            for &block in &active.blocks {
-                self.drop_run_ref(block);
-                self.release_block(block);
-            }
-            self.records.push(RequestRecord {
+            *sum_context -= active.context_tokens;
+            records.push(RequestRecord {
                 id: request.id,
                 arrival_s: request.arrival_s,
                 first_token_s: slot.first_token.expect("prefilled"),
@@ -2316,8 +1902,9 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
                 output_tokens: request.output_tokens,
                 qos: request.qos,
             });
-            self.free_slots.push(active.idx);
-        }
+            free_slots.push(active.idx);
+            false
+        });
     }
 
     /// Finalizes the report once the source has drained.
@@ -2328,20 +1915,21 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             .iter()
             .map(|r| r.completion_s)
             .fold(self.now.min(self.last_arrival_s), f64::max);
-        let allocator_stats = self.allocator.stats();
-        let cache_stats = self
-            .cache
-            .as_ref()
-            .map(PrefixCache::stats)
-            .unwrap_or_default();
+        let (peak_kv_reserved_tokens, paged) = match self.kv {
+            KvArm::Reserve { peak_reserved, .. } => (peak_reserved, None),
+            KvArm::Paged(kv) => {
+                let stats = kv.into_stats();
+                (stats.peak_allocated_blocks * stats.block_size, Some(stats))
+            }
+        };
         ServingReport {
             scheduler: self.config.scheduler,
             records: self.records,
             admitted: self.admitted,
             rejected: self.rejected,
             makespan_s: makespan,
-            kv_budget_tokens: self.allocator.total_tokens(),
-            peak_kv_reserved_tokens: allocator_stats.peak_allocated_blocks * self.config.block_size,
+            kv_budget_tokens: self.pool_tokens,
+            peak_kv_reserved_tokens,
             peak_kv_occupied_tokens: self.peak_occupied,
             mean_kv_occupancy: self.occupancy.mean(),
             peak_batch: self.peak_batch,
@@ -2353,34 +1941,44 @@ impl<I: Iterator<Item = Request>> PagedRunCore<I> {
             chunked_prefill_tokens: self.chunked_prefill_tokens,
             qos: self.qos.stats(),
             adapters: self.adapter_cache.stats(),
-            paged: Some(PagedStats {
-                block_size: self.config.block_size,
-                total_blocks: allocator_stats.total_blocks,
-                peak_allocated_blocks: allocator_stats.peak_allocated_blocks,
-                mean_block_utilization: self.block_util.mean(),
-                mean_internal_fragmentation: self.fragmentation.mean(),
-                preemptions: self.preemptions,
-                cache_evictions: cache_stats.evictions,
-                cache_peak_resident_blocks: cache_stats.peak_resident_blocks,
-                prefix_hit_tokens: self.prefix_hit_tokens,
-                prefix_uncached_tokens: self.prefix_uncached_tokens,
-                swap_outs: self.swap_outs,
-                swap_ins: self.swap_ins,
-                swapped_out_blocks: self.swapped_out_blocks,
-                tier_demotions: self.tier_demotions,
-                tier_promotions: self.tier_promotions,
-                kv_transfers: self.kv_transfers,
-                peak_ddr_blocks: self.peak_ddr_blocks,
-                peak_disk_blocks: self.peak_disk_blocks,
-                mean_ddr_occupancy: self.ddr_occupancy.mean(),
-                mean_disk_occupancy: self.disk_occupancy.mean(),
-            }),
+            paged,
         }
     }
 }
 
 #[cfg(test)]
 mod reference;
+
+/// The reference loop's paged sequence is the event core's.
+#[cfg(test)]
+use Sequence as PagedActive;
+
+/// The reference loop's reserve-up-front sequence (the event core keeps
+/// its first-token time in [`Slot`] and recomputes its reservation from
+/// the request at retire).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+struct Active {
+    /// Slot id of the request in the run's slot store.
+    idx: usize,
+    /// Whether the prompt has been processed.
+    prefilled: bool,
+    /// Prompt tokens prefilled so far — the chunk cursor of chunked
+    /// prefill.
+    prefilled_tokens: usize,
+    /// Draft-and-verify bursts this sequence has decoded through.
+    spec_bursts: u64,
+    /// Time the first output token was produced (valid once prefilled).
+    first_token_s: f64,
+    /// Tokens currently in the KV cache (prompt + generated so far).
+    context_tokens: usize,
+    /// Decode tokens still to generate (the prefill emits the first).
+    remaining_decode: usize,
+    /// KV tokens reserved against the budget at admission.
+    reserved_tokens: usize,
+    /// Time the last output token was produced.
+    done_s: Option<f64>,
+}
 
 #[cfg(test)]
 mod equivalence_tests;
@@ -2420,6 +2018,19 @@ mod tests {
         assert_eq!(r.output_tokens, 1);
         // Prefill-only: done at the first token.
         assert_eq!(r.completion_s, r.first_token_s);
+        // A streamed request bypasses the normalization; every policy
+        // still closes it at its own first token, not at the end of the
+        // prefill wave it shared with a later prompt.
+        for config in [
+            ServingConfig::continuous(8, 1_000),
+            ServingConfig::static_batching(8, 1_000),
+            ServingConfig::paged(8, 1_000, 16),
+        ] {
+            let report = sim(config).run_streamed(vec![req(0, 0.0, 64, 0), req(1, 0.0, 64, 3)]);
+            let r = report.records[0];
+            assert_eq!(r.completion_s, r.first_token_s, "{}", config.scheduler);
+            assert!(r.completion_s < report.records[1].first_token_s);
+        }
     }
 
     /// Regression companion to the saturating `kv_tokens_at_completion`:
