@@ -18,7 +18,7 @@
 /// assert_eq!(m.popcount(), 2);
 /// assert_eq!(m.expansion_indices(), vec![None, Some(0), None, None, None, Some(1), None, None]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmask {
     len: usize,
     words: Vec<u64>,

@@ -1290,7 +1290,7 @@ impl DecompressEngine for AutoTunedEngine {
 
 /// The enumerable backend axis: names every provided engine so that higher
 /// layers can select one and report which one ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// [`ScalarEngine`] — the per-element functional reference.
     Scalar,

@@ -20,7 +20,7 @@ use crate::{CompressError, TILE_ELEMS};
 /// // 512*0.2 nonzero bytes + 64 bitmask bytes
 /// assert_eq!(q8_20.expected_tile_bytes(), 166.4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionScheme {
     format: QuantFormat,
     density: f64,

@@ -11,7 +11,7 @@ use deca_numerics::{mx::ScaleE8M0, Bf16};
 use crate::{Bitmask, CompressError, CompressionScheme, TILE_COLS, TILE_ELEMS, TILE_ROWS};
 
 /// The logical shape of an AMX weight tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileShape {
     /// Number of rows (up to 16).
     pub rows: usize,

@@ -12,7 +12,7 @@ use crate::DecaError;
 
 /// The metadata the core passes when invoking DECA for one tile: the three
 /// memory structures to fetch (§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileMetadata {
     /// Base address of the packed nonzero array.
     pub data_addr: u64,
@@ -70,7 +70,7 @@ impl TileMetadata {
 }
 
 /// The state of one Loader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoaderState {
     /// No tile assigned.
     Idle,

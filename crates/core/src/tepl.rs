@@ -11,7 +11,7 @@
 use crate::DecaError;
 
 /// The lifecycle of one TEPL queue slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TeplSlotState {
     /// No TEPL occupies this slot.
     Free,

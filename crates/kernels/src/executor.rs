@@ -10,7 +10,7 @@ use deca_sim::{CacheConfig, GemmSimulation, GemmStats, TileExecModel};
 use crate::{avx_model::VectorResources, software_exec_model, GemmShape, Parlooper};
 
 /// Which decompression engine executes the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Engine {
     /// The libxsmm-style software kernel on the core's AVX units.
     Software {
@@ -79,7 +79,7 @@ impl Engine {
 }
 
 /// The result of one simulated compressed GeMM.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GemmRunResult {
     /// Scheme label (`Q8_20%` etc.).
     pub scheme: String,

@@ -29,7 +29,7 @@ const LAYER_OVERHEAD_PER_SEQUENCE_US: f64 = 7.0;
 const GEMM_LAUNCH_BARRIER_US: f64 = 15.0;
 
 /// Latency breakdown of generating one token.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NextTokenReport {
     /// Model name.
     pub model: String,
@@ -90,7 +90,7 @@ impl NextTokenReport {
 /// sequence: the whole prompt runs through every layer at once, so the FC
 /// GeMMs have `prompt_tokens` activation rows and the TMUL — not the weight
 /// stream — can become the bound.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrefillReport {
     /// Model name.
     pub model: String,
@@ -144,7 +144,7 @@ impl PrefillReport {
 /// single step. The spec is pure pricing data — acceptance behaviour
 /// (which drafts survive verification) is scheduler policy and lives with
 /// the serving layer.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DraftSpec {
     model: LlmModel,
     draft_tokens: usize,

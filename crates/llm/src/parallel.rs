@@ -34,7 +34,7 @@ use crate::{InferenceEstimator, LayerGeometry, LlmModel};
 
 /// How a model is sharded across sockets: `tensor_parallel × pipeline_parallel`
 /// sockets in total.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardSpec {
     /// Tensor-parallel degree: every FC GeMM's output dimension is split
     /// this many ways (and the KV heads with it).
@@ -207,7 +207,7 @@ impl InterconnectModel {
 
 /// Latency breakdown of one generated token under a sharding plan: the
 /// per-socket compute/memory components plus the interconnect cost.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedNextTokenReport {
     /// Model name.
     pub model: String,
@@ -283,7 +283,7 @@ impl ShardedNextTokenReport {
 
 /// Latency breakdown of a prefill under a sharding plan (single-microbatch
 /// pipeline: the prompt flows through the stages back to back).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedPrefillReport {
     /// Model name.
     pub model: String,

@@ -53,7 +53,7 @@ pub use minifloat::{Minifloat, RoundingMode};
 /// supports (§6.1 of the paper). The element bit-width determines how many
 /// parallel lookups a single "big" LUT can serve per cycle (`L` for 8-bit,
 /// `2L` for 7-bit, `4L` for ≤6-bit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QuantFormat {
     /// Uncompressed 16-bit brain floating point (no dequantization needed).
     Bf16,

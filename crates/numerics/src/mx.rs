@@ -13,7 +13,7 @@ pub const MX_GROUP_SIZE: usize = 32;
 
 /// An 8-bit shared power-of-two scale (E8M0): value is `2^(code - 127)`;
 /// code 255 is reserved for NaN in the OCP spec and is not produced here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScaleE8M0(u8);
 
 impl ScaleE8M0 {

@@ -15,7 +15,7 @@ use crate::{BoundingFactor, KernelSignature, RoofSurface};
 pub type Region = BoundingFactor;
 
 /// A kernel placed on the BORD.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BordPoint {
     /// Kernel label.
     pub label: String,

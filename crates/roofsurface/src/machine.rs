@@ -2,7 +2,7 @@
 
 /// Parameters of a CPU server with in-core matrix engines, as used by both
 /// the analytical models and (via `deca-sim`) the simulator configuration.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Human-readable name (e.g. "SPR-HBM").
     pub name: String,

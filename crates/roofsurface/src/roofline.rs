@@ -17,7 +17,7 @@ pub struct Roofline {
 
 /// One kernel plotted on the roofline: its arithmetic intensity, its optimal
 /// (roofline) performance and, when available, an observed performance.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RooflinePoint {
     /// Kernel label.
     pub label: String,

@@ -487,7 +487,7 @@ impl ServingCostModel for LinearCostModel {
 pub const SHIPPED_PREFILL_EPSILON_S: f64 = 1e-9;
 
 /// The cost model of a *decode-pool* replica in a disaggregated
-/// prefill/decode deployment ([`crate::sweep::simulate_disaggregated`]):
+/// prefill/decode deployment ([`crate::sweep::simulate_disaggregated_with`]):
 /// every admitted request arrives with its KV already computed by the
 /// prefill pool and shipped over the interconnect
 /// ([`crate::KvShipSpec`] prices the transfer), so "prefill" here is just

@@ -24,7 +24,7 @@
 pub type BlockId = usize;
 
 /// Aggregate allocator statistics, snapshot at any point of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocatorStats {
     /// Tokens per block.
     pub block_size: usize,

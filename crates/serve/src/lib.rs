@@ -132,10 +132,10 @@ pub use sweep::{
     best_pool_split, capacity_search, capacity_search_warm, capacity_search_with,
     chunk_budget_capacity_sweep_with, disagg_capacity_search_with, fleet_capacity_search_with,
     hbm_kv_budget_tokens, min_sockets_for_slo, qos_capacity_search_with, sharded_kv_budget_tokens,
-    sharding_sweep, simulate_disaggregated, simulate_disaggregated_with, simulate_fleet,
-    simulate_fleet_with, speculation_goodput_curve_with, CapacityResult, CapacitySpec,
-    ChunkBudgetPoint, ClassOutcome, DisaggReport, DisaggSpec, FleetReport, PoolSplitResult,
-    QosCapacityResult, ShardingPlanResult, ShardingSearchSpec, SpeculationPoint,
+    sharding_sweep, simulate_disaggregated_with, simulate_fleet, simulate_fleet_with,
+    speculation_goodput_curve_with, CapacityResult, CapacitySpec, ChunkBudgetPoint, ClassOutcome,
+    DisaggReport, DisaggSpec, FleetReport, PoolSplitResult, QosCapacityResult, ShardingPlanResult,
+    ShardingSearchSpec, SpeculationPoint,
 };
 pub use tenant::{
     AgentLoopSpec, MultiTenantSpec, QosAdmission, QosClass, QosPick, QosStats, RagSpec,

@@ -42,7 +42,7 @@ pub fn sharded_kv_budget_tokens(
 /// What a sharding sweep demands of every candidate plan: hold a KV
 /// working set of `required_kv_tokens` and serve `workload` within `slo`
 /// at the 99th percentile.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardingSearchSpec {
     /// The p99 objective a feasible plan must meet.
     pub slo: SloTarget,
@@ -57,7 +57,7 @@ pub struct ShardingSearchSpec {
 }
 
 /// The outcome of one sharding plan under a [`ShardingSearchSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardingPlanResult {
     /// The plan.
     pub spec: ShardSpec,
@@ -154,7 +154,7 @@ pub fn min_sockets_for_slo(
 }
 
 /// One replica's share plus its report, and the fleet aggregate.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Replica count.
     pub replicas: usize,
@@ -302,7 +302,7 @@ pub fn simulate_fleet(
 /// run nothing but prefills, `decode_replicas` sockets run nothing but
 /// decode, and every prefilled request's KV ships from its prefill
 /// replica to its decode replica at [`KvShipSpec`] cost.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DisaggSpec {
     /// Sockets in the prefill pool (≥ 1).
     pub prefill_replicas: usize,
@@ -322,7 +322,7 @@ impl DisaggSpec {
 
 /// The outcome of one disaggregated run: both pools' raw fleet reports
 /// plus the stitched end-to-end per-request records.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DisaggReport {
     /// The deployment that produced this report.
     pub spec: DisaggSpec,
@@ -476,28 +476,8 @@ where
     }
 }
 
-/// [`simulate_disaggregated_with`] with one [`EstimatorCostModel`] per
-/// socket — the disaggregated counterpart of [`simulate_fleet`].
-#[must_use]
-pub fn simulate_disaggregated(
-    machine: &MachineConfig,
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    engine: Engine,
-    config: &ServingConfig,
-    spec: &DisaggSpec,
-    trace: &RequestTrace,
-) -> DisaggReport {
-    simulate_disaggregated_with(
-        || EstimatorCostModel::new(machine.clone(), model.clone(), *scheme, engine),
-        config,
-        spec,
-        trace,
-    )
-}
-
 /// Parameters of an SLO capacity search on one replica.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacitySpec {
     /// The objective a feasible rate must meet at the 99th percentile.
     pub slo: SloTarget,
@@ -531,7 +511,7 @@ impl CapacitySpec {
 }
 
 /// The outcome of a capacity search.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityResult {
     /// Highest probed arrival rate whose p99 latencies met the SLO
     /// (0 when even `min_rate` misses it).
@@ -560,24 +540,37 @@ impl<F: FnMut(f64) -> RequestTrace> CapacityProbe<'_, F> {
         let mut simulator = ServingSimulator::new(self.cost.clone(), self.config);
         let report = simulator.run(&trace);
         *self.cost = simulator.into_cost_model();
-        judge_probe(&report, &self.spec, rate)
+        judge_probe(
+            &report.records,
+            report.rejected,
+            report.goodput_rps(&self.spec.slo),
+            &self.spec,
+            rate,
+        )
     }
 }
 
-/// Judges one probed rate's report against the capacity spec's p99 SLO —
-/// the feasibility rule every capacity search shares.
-fn judge_probe(report: &ServingReport, spec: &CapacitySpec, rate: f64) -> (bool, CapacityResult) {
-    let ttft: Vec<f64> = report.records.iter().map(RequestRecord::ttft_s).collect();
-    let tpot: Vec<f64> = report.records.iter().map(RequestRecord::tpot_s).collect();
+/// Judges one probed rate's completed records and rejection count against
+/// the capacity spec's p99 SLO — the feasibility rule every capacity
+/// search shares (one replica, a colocated fleet, or a disaggregated
+/// split): p99 TTFT and p99 TPOT within the SLO and nothing rejected.
+fn judge_probe(
+    records: &[RequestRecord],
+    rejected: usize,
+    goodput_rps: f64,
+    spec: &CapacitySpec,
+    rate: f64,
+) -> (bool, CapacityResult) {
+    let ttft: Vec<f64> = records.iter().map(RequestRecord::ttft_s).collect();
+    let tpot: Vec<f64> = records.iter().map(RequestRecord::tpot_s).collect();
     let p99_ttft = percentile(&ttft, 99.0);
     let p99_tpot = percentile(&tpot, 99.0);
-    let feasible =
-        report.rejected == 0 && p99_ttft <= spec.slo.ttft_s && p99_tpot <= spec.slo.tpot_s;
+    let feasible = rejected == 0 && p99_ttft <= spec.slo.ttft_s && p99_tpot <= spec.slo.tpot_s;
     let result = CapacityResult {
         max_rate_rps: rate,
         p99_ttft_s: p99_ttft,
         p99_tpot_s: p99_tpot,
-        goodput_rps: report.goodput_rps(&spec.slo),
+        goodput_rps,
     };
     (feasible, result)
 }
@@ -691,7 +684,7 @@ fn bracket_and_bisect(
 
 /// One pool split's sustained capacity, from
 /// [`disagg_capacity_search_with`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolSplitResult {
     /// Sockets assigned to the prefill pool.
     pub prefill_replicas: usize,
@@ -731,20 +724,13 @@ where
             let capacity = bracket_and_bisect(spec, &mut |rate| {
                 let trace = trace_for_rate(rate);
                 let report = simulate_disaggregated_with(&mut cost, config, &split, &trace);
-                let ttft: Vec<f64> = report.records.iter().map(RequestRecord::ttft_s).collect();
-                let tpot: Vec<f64> = report.records.iter().map(RequestRecord::tpot_s).collect();
-                let p99_ttft = percentile(&ttft, 99.0);
-                let p99_tpot = percentile(&tpot, 99.0);
-                let feasible = report.rejected == 0
-                    && p99_ttft <= spec.slo.ttft_s
-                    && p99_tpot <= spec.slo.tpot_s;
-                let result = CapacityResult {
-                    max_rate_rps: rate,
-                    p99_ttft_s: p99_ttft,
-                    p99_tpot_s: p99_tpot,
-                    goodput_rps: report.goodput_rps(&spec.slo),
-                };
-                (feasible, result)
+                judge_probe(
+                    &report.records,
+                    report.rejected,
+                    report.goodput_rps(&spec.slo),
+                    spec,
+                    rate,
+                )
             });
             PoolSplitResult {
                 prefill_replicas,
@@ -775,26 +761,19 @@ where
     bracket_and_bisect(spec, &mut |rate| {
         let trace = trace_for_rate(rate);
         let fleet = simulate_fleet_with(&mut cost, config, replicas, &trace);
-        let records = fleet.records();
-        let ttft: Vec<f64> = records.iter().map(RequestRecord::ttft_s).collect();
-        let tpot: Vec<f64> = records.iter().map(RequestRecord::tpot_s).collect();
-        let p99_ttft = percentile(&ttft, 99.0);
-        let p99_tpot = percentile(&tpot, 99.0);
-        let feasible =
-            fleet.rejected() == 0 && p99_ttft <= spec.slo.ttft_s && p99_tpot <= spec.slo.tpot_s;
-        let result = CapacityResult {
-            max_rate_rps: rate,
-            p99_ttft_s: p99_ttft,
-            p99_tpot_s: p99_tpot,
-            goodput_rps: fleet.goodput_rps(&spec.slo),
-        };
-        (feasible, result)
+        judge_probe(
+            &fleet.records(),
+            fleet.rejected(),
+            fleet.goodput_rps(&spec.slo),
+            spec,
+            rate,
+        )
     })
 }
 
 /// One chunk budget's sustained capacity, from
 /// [`chunk_budget_capacity_sweep_with`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkBudgetPoint {
     /// The probed per-step prefill chunk budget (`None` = unchunked:
     /// whole prompts prefill in one wave).
@@ -830,7 +809,13 @@ where
                 let mut simulator = ServingSimulator::new(cost.clone(), chunked);
                 let report = simulator.run(&trace);
                 *cost = simulator.into_cost_model();
-                judge_probe(&report, spec, rate)
+                judge_probe(
+                    &report.records,
+                    report.rejected,
+                    report.goodput_rps(&spec.slo),
+                    spec,
+                    rate,
+                )
             });
             ChunkBudgetPoint {
                 chunk_budget_tokens,
@@ -842,7 +827,7 @@ where
 
 /// One service class's tail latencies and goodput at a probed rate, from
 /// [`qos_capacity_search_with`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassOutcome {
     /// p99 TTFT over the class's completed requests, seconds (0 when the
     /// class completed nothing).
@@ -854,7 +839,7 @@ pub struct ClassOutcome {
 }
 
 /// The outcome of a per-class QoS capacity search.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosCapacityResult {
     /// Highest probed arrival rate at which *both* classes met their SLOs
     /// with no rejections (0 when even `min_rate` misses).
@@ -934,7 +919,7 @@ where
 
 /// One acceptance rate's outcome on a fixed trace, from
 /// [`speculation_goodput_curve_with`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeculationPoint {
     /// The probed draft acceptance rate, in `[0, 1]`.
     pub acceptance_rate: f64,
@@ -1064,7 +1049,13 @@ mod tests {
         let baseline = bracket_and_bisect(&spec, &mut |rate| {
             let trace = mix.with_rate(rate).generate();
             let report = ServingSimulator::new(cost, config).run(&trace);
-            judge_probe(&report, &spec, rate)
+            judge_probe(
+                &report.records,
+                report.rejected,
+                report.goodput_rps(&spec.slo),
+                &spec,
+                rate,
+            )
         });
         assert_eq!(points[0].capacity, baseline);
         for point in &points {
@@ -1128,7 +1119,13 @@ mod tests {
         let plain = bracket_and_bisect(&spec, &mut |rate| {
             let trace = WorkloadSpec::chat(rate, spec.requests, spec.seed).generate();
             let report = ServingSimulator::new(blind, config).run(&trace);
-            judge_probe(&report, &spec, rate)
+            judge_probe(
+                &report.records,
+                report.rejected,
+                report.goodput_rps(&spec.slo),
+                &spec,
+                rate,
+            )
         });
         assert_eq!(qos.max_rate_rps, plain.max_rate_rps);
     }

@@ -38,9 +38,7 @@ use crate::workload::{
 
 /// The service class of one request: which SLO it is sold under, and how
 /// admission prioritizes it.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QosClass {
     /// Latency-sensitive traffic (chat, RAG answers): admitted first. The
     /// `Default`, so unlabeled traces behave exactly as before.
@@ -63,7 +61,7 @@ impl std::fmt::Display for QosClass {
 /// Per-class admission and fairness counters of one serving run, reported
 /// in [`crate::ServingReport`]. Every field is an exact count, computed
 /// identically by the event cores and the reference loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QosStats {
     /// Interactive requests admitted.
     pub interactive_admitted: usize,
@@ -252,7 +250,7 @@ const BATCH_LANE_SALT: u64 = 0xba7c_4;
 /// the traffic that pushes the radix prefix cache far past one system
 /// prompt (many deep branches, one per document), while a reserve-up-front
 /// scheduler re-prefills the document every single time.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RagSpec {
     /// Aggregate question arrival rate, requests per second.
     pub rate_per_sec: f64,
@@ -376,7 +374,7 @@ impl RagSpec {
 /// session's [`TokenStream`], so a radix-cached server re-prefills only
 /// the fresh suffix while a reserve-up-front server replays the whole
 /// transcript every hop.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentLoopSpec {
     /// Session (agent run) arrival rate, sessions per second.
     pub rate_per_sec: f64,
@@ -521,7 +519,7 @@ impl AgentLoopSpec {
 /// `bench_multitenant` experiment: priority admission must hold the
 /// Interactive lane's SLO under the Batch backlog without starving it,
 /// while the adapter cache absorbs the tenant churn.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiTenantSpec {
     /// Interactive-lane arrival rate, requests per second.
     pub interactive_rate_per_sec: f64,

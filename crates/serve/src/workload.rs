@@ -42,23 +42,17 @@ const UNIQUE_SALT: u64 = 0x554e_4951_5545_5f53; // "UNIQUE_S"
 /// the per-session stream (the deterministic "conversation transcript",
 /// which also covers generated tokens, so a follow-up turn's prompt
 /// extends its predecessor's prompt + output exactly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TokenStream {
     /// Key of the per-session token stream.
     pub session: u64,
     /// Leading positions drawn from the shared stream.
     pub system_tokens: usize,
-    /// Key of the shared stream the leading positions draw from. Defaults
-    /// to the global system-prompt stream (what every pre-RAG trace used);
-    /// RAG traces put a per-document key here so exactly that document's
-    /// sessions share the prefix.
-    #[serde(default = "default_shared_stream")]
+    /// Key of the shared stream the leading positions draw from:
+    /// [`TokenStream::unique`] and [`TokenStream::session`] set the global
+    /// system-prompt stream; RAG traces put a per-document key here so
+    /// exactly that document's sessions share the prefix.
     pub shared: u64,
-}
-
-/// The pre-RAG shared stream: every session's system prompt.
-fn default_shared_stream() -> u64 {
-    SYSTEM_STREAM
 }
 
 impl TokenStream {
@@ -70,7 +64,7 @@ impl TokenStream {
         TokenStream {
             session: splitmix64(UNIQUE_SALT ^ request_id as u64),
             system_tokens: 0,
-            shared: default_shared_stream(),
+            shared: SYSTEM_STREAM,
         }
     }
 
@@ -81,7 +75,7 @@ impl TokenStream {
         TokenStream {
             session,
             system_tokens,
-            shared: default_shared_stream(),
+            shared: SYSTEM_STREAM,
         }
     }
 
@@ -117,7 +111,7 @@ impl TokenStream {
 }
 
 /// One inference request: when it arrives and how much work it carries.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Stable request id (index in arrival order within the trace).
     pub id: usize,
@@ -132,13 +126,11 @@ pub struct Request {
     /// the paged scheduler's prefix cache keys on.
     pub stream: TokenStream,
     /// Service class: which SLO this request is sold under and how
-    /// admission prioritizes it. Defaults to Interactive, the class every
-    /// pre-tenant trace implicitly was.
-    #[serde(default)]
+    /// admission prioritizes it. The single-class generators set
+    /// Interactive, which is also [`QosClass::default`].
     pub qos: QosClass,
     /// The LoRA adapter this request runs, [`AdapterId::BASE`] (the
     /// default) for the unadapted base model.
-    #[serde(default)]
     pub adapter: AdapterId,
 }
 
@@ -156,7 +148,7 @@ impl Request {
 }
 
 /// A distribution over token counts (prompt or output lengths).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LengthDistribution {
     /// Every request draws the same length.
     Fixed(usize),
@@ -240,7 +232,7 @@ impl std::fmt::Display for WorkloadError {
 impl std::error::Error for WorkloadError {}
 
 /// A stochastic arrival process over continuous time.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals at a constant rate (requests per second).
     Poisson {
@@ -395,7 +387,7 @@ pub(crate) fn exponential_gap(unit: f64, rate: f64) -> f64 {
 }
 
 /// A complete workload description: arrivals × lengths × size × seed.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// The arrival process.
     pub arrivals: ArrivalProcess,
@@ -498,7 +490,7 @@ impl WorkloadSpec {
 /// prompt extends turn `t`'s prompt + generated output in the session's
 /// [`TokenStream`], exactly the workload a radix prefix cache serves well
 /// and a reserve-up-front scheduler pays full prefill for every turn.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedPrefixChatSpec {
     /// Session (conversation) arrival rate, sessions per second.
     pub rate_per_sec: f64,
@@ -808,7 +800,7 @@ impl ExactSizeIterator for SharedPrefixChatStream {}
 /// accumulated context (recompute) or promotes the demoted blocks back
 /// from DDR/disk at transfer cost — the swap-vs-recompute comparison
 /// `bench_disagg` prices.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColdSessionSpec {
     /// Session (conversation) arrival rate, sessions per second.
     pub rate_per_sec: f64,
@@ -957,7 +949,7 @@ impl ColdSessionSpec {
 /// [`DocChatMixSpec::is_document`] can classify a generated request from
 /// its prompt length alone (the merged trace re-ids requests in arrival
 /// order, so provenance is not recoverable from the id).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DocChatMixSpec {
     /// Chat arrival rate, requests per second.
     pub chat_rate_per_sec: f64,
@@ -1123,7 +1115,7 @@ impl DocChatMixSpec {
 /// An ordered, replayable list of requests. Traces can come from
 /// [`WorkloadSpec::generate`] or be constructed directly (e.g. replayed from
 /// a serialized production log).
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RequestTrace {
     requests: Vec<Request>,
 }

@@ -7,7 +7,7 @@
 
 /// Latency (in core cycles) and capacity parameters of the on-chip memory
 /// hierarchy.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// L1 data cache hit latency.
     pub l1_latency: f64,

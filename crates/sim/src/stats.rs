@@ -7,7 +7,7 @@ use deca_roofsurface::MachineConfig;
 /// All cycle counts are per core (the simulated cores are symmetric);
 /// socket-level rates multiply by the core count of the machine the run was
 /// configured with.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GemmStats {
     /// Number of cores the run modelled.
     pub cores: usize,
@@ -127,7 +127,7 @@ fn ratio(num: f64, den: f64) -> f64 {
 }
 
 /// The MEM / TMUL / decompressor utilization triple reported in Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilizationReport {
     /// Memory bandwidth utilization.
     pub memory: f64,

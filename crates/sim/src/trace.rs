@@ -21,7 +21,7 @@ use deca_compress::{
 };
 
 /// The memory footprint of one compressed tile as a Loader fetches it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Tile-row coordinate.
     pub tile_row: usize,
@@ -47,7 +47,7 @@ impl TraceEvent {
 
 /// A per-tile memory trace of one compressed matrix, generated through a
 /// named streaming decompression engine.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryTrace {
     engine: String,
     events: Vec<TraceEvent>,
