@@ -1,9 +1,7 @@
 //! Runs compressed-GeMM kernels on the simulated machine.
 
 use deca::{timing, DecaConfig, IntegrationConfig};
-use deca_compress::{
-    generator::WeightGenerator, CompressError, CompressionScheme, Compressor, EngineKind,
-};
+use deca_compress::{CompressionScheme, EngineKind};
 use deca_roofsurface::{MachineConfig, Roofline};
 use deca_sim::{CacheConfig, GemmSimulation, GemmStats, TileExecModel};
 
@@ -115,19 +113,16 @@ pub struct CompressedGemmExecutor {
     machine: MachineConfig,
     cache: CacheConfig,
     steady_state_tiles: usize,
-    decompress_backend: EngineKind,
 }
 
 impl CompressedGemmExecutor {
-    /// Creates an executor for a machine with SPR cache parameters. The
-    /// functional decompression backend defaults to the scalar reference.
+    /// Creates an executor for a machine with SPR cache parameters.
     #[must_use]
     pub fn new(machine: MachineConfig) -> Self {
         CompressedGemmExecutor {
             machine,
             cache: CacheConfig::spr(),
             steady_state_tiles: 3000,
-            decompress_backend: EngineKind::Scalar,
         }
     }
 
@@ -146,52 +141,10 @@ impl CompressedGemmExecutor {
         self
     }
 
-    /// Selects which functional decompression backend stands behind this
-    /// executor's modeled runs (named in every [`GemmRunResult`] and used by
-    /// [`CompressedGemmExecutor::verify_functional`]).
-    #[must_use]
-    pub fn with_decompress_backend(mut self, backend: EngineKind) -> Self {
-        self.decompress_backend = backend;
-        self
-    }
-
-    /// The configured functional decompression backend.
-    #[must_use]
-    pub fn decompress_backend(&self) -> EngineKind {
-        self.decompress_backend
-    }
-
     /// The simulated machine.
     #[must_use]
     pub fn machine(&self) -> &MachineConfig {
         &self.machine
-    }
-
-    /// Cross-checks the configured backend against the scalar reference on
-    /// a synthetic matrix compressed with `scheme`: the functional ground
-    /// truth the modeled numbers stand on must be engine-independent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompressError::CorruptTile`] with the backend's name if
-    /// the outputs differ, and propagates compression errors.
-    pub fn verify_functional(&self, scheme: &CompressionScheme) -> Result<(), CompressError> {
-        let weights = WeightGenerator::new(97).dense_matrix(64, 96);
-        let compressed = Compressor::new(*scheme).compress_matrix(&weights)?;
-        let reference = deca_compress::Decompressor::new().decompress_matrix(&compressed)?;
-        let via_backend = self
-            .decompress_backend
-            .build()
-            .decompress_matrix(&compressed)?;
-        if via_backend != reference {
-            return Err(CompressError::CorruptTile {
-                reason: format!(
-                    "backend {} disagrees with the scalar reference on {scheme}",
-                    self.decompress_backend
-                ),
-            });
-        }
-        Ok(())
     }
 
     /// Builds the tile execution model of a scheme on an engine.
@@ -215,7 +168,7 @@ impl CompressedGemmExecutor {
         GemmRunResult {
             scheme: scheme.label(),
             engine: engine.label(),
-            decompress_engine: self.decompress_backend.label().to_string(),
+            decompress_engine: EngineKind::Scalar.label().to_string(),
             batch,
             tflops: stats.tflops(&self.machine, batch),
             stats,
@@ -325,32 +278,12 @@ mod tests {
 
     #[test]
     fn results_name_the_decompress_backend() {
-        let scheme = CompressionScheme::bf8_sparse(0.2);
-        let base = executor();
-        assert_eq!(base.decompress_backend(), EngineKind::Scalar);
-        let run = base.run(&scheme, Engine::deca_default(), 1);
-        assert_eq!(run.decompress_engine, "scalar");
-        let word = executor().with_decompress_backend(EngineKind::WordParallel);
-        let run = word.run(&scheme, Engine::deca_default(), 1);
-        assert_eq!(run.decompress_engine, "word-parallel");
-        // The modeled numbers do not depend on the functional backend.
-        assert_eq!(
-            run.tflops,
-            base.run(&scheme, Engine::deca_default(), 1).tflops
+        let run = executor().run(
+            &CompressionScheme::bf8_sparse(0.2),
+            Engine::deca_default(),
+            1,
         );
-    }
-
-    #[test]
-    fn verify_functional_passes_for_every_backend() {
-        for kind in EngineKind::all() {
-            let exec = executor().with_decompress_backend(kind);
-            for scheme in [
-                CompressionScheme::bf8_sparse(0.3),
-                CompressionScheme::mxfp4(),
-            ] {
-                exec.verify_functional(&scheme).expect("bit-exact backend");
-            }
-        }
+        assert_eq!(run.decompress_engine, "scalar");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! once against Table 1's FC-time fractions and then left untouched for
 //! every other experiment.
 
-use deca_compress::{CompressionScheme, EngineKind};
+use deca_compress::CompressionScheme;
 use deca_kernels::{CompressedGemmExecutor, Engine, GemmShape, Parlooper};
 use deca_roofsurface::MachineConfig;
 
@@ -205,14 +205,6 @@ impl InferenceEstimator {
             executor: CompressedGemmExecutor::new(machine.clone()),
             machine,
         }
-    }
-
-    /// Selects the functional decompression backend behind the FC-GeMM
-    /// numbers; every [`NextTokenReport`] names it.
-    #[must_use]
-    pub fn with_decompress_backend(mut self, backend: EngineKind) -> Self {
-        self.executor = self.executor.with_decompress_backend(backend);
-        self
     }
 
     /// The underlying compressed-GeMM executor.
@@ -618,20 +610,6 @@ mod tests {
             deca.total_ms(),
             sw.total_ms()
         );
-    }
-
-    #[test]
-    fn decompress_backend_choice_is_named_but_does_not_move_latency() {
-        let model = LlmModel::llama2_70b();
-        let scheme = CompressionScheme::bf8_sparse(0.2);
-        let scalar = hbm().next_token(&model, &scheme, Engine::deca_default(), 1, 128);
-        let word = hbm()
-            .with_decompress_backend(EngineKind::WordParallel)
-            .next_token(&model, &scheme, Engine::deca_default(), 1, 128);
-        assert_eq!(scalar.decompress_engine, "scalar");
-        assert_eq!(word.decompress_engine, "word-parallel");
-        // All backends are bit-exact, so the modeled latency is identical.
-        assert!((scalar.total_ms() - word.total_ms()).abs() < 1e-12);
     }
 
     #[test]

@@ -384,13 +384,6 @@ impl ShardedEstimator {
         }
     }
 
-    /// Selects the functional decompression backend behind the FC numbers.
-    #[must_use]
-    pub fn with_decompress_backend(mut self, backend: deca_compress::EngineKind) -> Self {
-        self.inner = self.inner.with_decompress_backend(backend);
-        self
-    }
-
     /// The sharding plan.
     #[must_use]
     pub fn spec(&self) -> ShardSpec {

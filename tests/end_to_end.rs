@@ -163,16 +163,4 @@ fn engine_axis_threads_through_every_layer() {
             .process_validated(compressed.tile(0, 0), engine.as_ref())
             .expect("pipeline agrees with engine");
     }
-
-    // LLM layer: the report names the backend that stands behind it.
-    let report = deca_llm::InferenceEstimator::new(deca_roofsurface::MachineConfig::spr_hbm())
-        .with_decompress_backend(EngineKind::WordParallel)
-        .next_token(
-            &deca_llm::LlmModel::llama2_70b(),
-            &scheme,
-            deca_kernels::Engine::deca_default(),
-            1,
-            128,
-        );
-    assert_eq!(report.decompress_engine, "word-parallel");
 }
