@@ -121,7 +121,7 @@ fn bench_engines_matrix(c: &mut Criterion) {
 
 /// SIMD-focused group: the AVX2 path against its forced portable fallback
 /// and the word-parallel incumbent, per scheme family, so a vector-path
-/// regression is visible even when the auto-tuner would mask it.
+/// regression shows next to the backend that would overtake it.
 fn bench_engine_simd(c: &mut Criterion) {
     use deca_compress::{DecompressEngine, SimdEngine, WordParallelEngine};
 

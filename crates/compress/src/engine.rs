@@ -18,27 +18,27 @@
 //!
 //! # Backends and their Fig. 1 correspondence
 //!
+//! Three backends, each kept because it is the reference or wins a
+//! measurement on some scheme:
+//!
 //! * [`ScalarEngine`] — the functional ground truth: one dense position at a
 //!   time, a running nonzero counter standing in for the prefix sum. This is
-//!   the per-element loop a naive CPU implementation executes.
+//!   the per-element loop a naive CPU implementation executes, and the
+//!   reference every other backend is tested against.
 //! * [`WordParallelEngine`] — the software analogue of DECA's POPCNT +
 //!   parallel-prefix-sum + crossbar datapath (§6.1): it walks the bitmask as
 //!   64-bit words, skips zero words entirely, locates nonzeros with
 //!   count-trailing-zeros, and dequantizes through a precomputed per-format
-//!   LUT array instead of re-deriving tables.
-//! * [`ParallelMatrixEngine`] — whole-matrix decompression fanned out over
-//!   OS threads with `std::thread::scope`, one disjoint band of tile rows
-//!   per worker: the software stand-in for one DECA PE per core working on a
-//!   Parlooper partition.
+//!   LUT array instead of re-deriving tables. On very sparse tiles (Q8_5%),
+//!   where few nonzeros leave little to vectorize, it runs level with
+//!   [`SimdEngine`] and sometimes ahead of it.
 //! * [`SimdEngine`] — explicit vectorization of the same datapath:
 //!   LUT dequantization as 8-lane gathers, sparse expansion as one
 //!   byte-shuffle per 8 mask bits, and the MX scale multiply as 8-lane f32
 //!   FMA-free multiplies rounded back to BF16 in the integer domain. The
 //!   software analogue of giving the decompress pipeline real SIMD lanes
-//!   instead of one ALU.
-//! * [`AutoTunedEngine`] — a dispatcher that micro-benchmarks the fixed
-//!   backends per tile class at construction and routes every tile/matrix to
-//!   the measured winner (see [`CalibrationTable`]).
+//!   instead of one ALU; the fastest backend on denser and group-scaled
+//!   schemes.
 //!
 //! # Feature detection and the fallback contract
 //!
@@ -55,9 +55,9 @@
 //! not divisible by the 16-lane chunk) are routed to the fallback per tile,
 //! so eligibility is a pure speed decision, never a correctness one.
 //!
-//! [`EngineKind`] names the backends so that higher layers (executor,
-//! simulator, LLM estimator, benchmarks) can record *which* engine produced
-//! or validated a result.
+//! [`EngineKind`] names the backends so that higher layers (functional GeMM,
+//! trace simulator, PE pipeline, benchmarks) can enumerate them and record
+//! *which* engine produced or validated a result.
 
 use deca_numerics::{Bf16, DequantTable, QuantFormat};
 
@@ -285,23 +285,11 @@ fn store_tile(out: &mut WeightMatrix, tr: usize, tc: usize, tile: &DenseTile) {
     let rows = out.rows();
     let cols = out.cols();
     let row_base = tr * TILE_ROWS;
-    let band = &mut out.data_mut()[row_base * cols..];
-    store_tile_in_band(band, rows - row_base, cols, tc, tile);
-}
-
-/// Writes a tile into a band of `band_rows` matrix rows starting at the
-/// tile's row base. `band` is the row-major storage of those rows.
-fn store_tile_in_band(
-    band: &mut [f32],
-    band_rows: usize,
-    cols: usize,
-    tc: usize,
-    tile: &DenseTile,
-) {
     let col_base = tc * TILE_COLS;
     let tile_cols = TILE_COLS.min(cols.saturating_sub(col_base));
+    let band = &mut out.data_mut()[row_base * cols..];
     for (r, row) in tile.elements().chunks_exact(TILE_COLS).enumerate() {
-        if r >= band_rows {
+        if r >= rows - row_base {
             break;
         }
         let dst = &mut band[r * cols + col_base..r * cols + col_base + tile_cols];
@@ -470,118 +458,6 @@ impl DecompressEngine for WordParallelEngine {
             }
         }
         Ok(())
-    }
-}
-
-/// Whole-matrix decompression fanned out over OS threads: tile rows are
-/// split into disjoint bands (each band is a contiguous row-major slice of
-/// the output) and each worker streams its bands through an inner
-/// [`WordParallelEngine`] with its own scratch and tile buffer.
-#[derive(Debug, Default, Clone)]
-pub struct ParallelMatrixEngine {
-    inner: WordParallelEngine,
-    threads: Option<usize>,
-}
-
-impl ParallelMatrixEngine {
-    /// Creates the engine with as many workers as the host exposes.
-    #[must_use]
-    pub fn new() -> Self {
-        ParallelMatrixEngine {
-            inner: WordParallelEngine::new(),
-            threads: None,
-        }
-    }
-
-    /// Caps the worker count (useful for reproducible benchmarking).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "at least one worker thread is required");
-        self.threads = Some(threads);
-        self
-    }
-
-    fn worker_count(&self, tile_rows: usize) -> usize {
-        let available = self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-        available.clamp(1, tile_rows.max(1))
-    }
-}
-
-impl DecompressEngine for ParallelMatrixEngine {
-    fn name(&self) -> &'static str {
-        "parallel-matrix"
-    }
-
-    fn decompress_tile_into(
-        &self,
-        tile: &CompressedTile,
-        scratch: &mut DecompressScratch,
-        out: &mut DenseTile,
-    ) -> Result<(), CompressError> {
-        // Single tiles have no fan-out axis; delegate to the inner engine.
-        self.inner.decompress_tile_into(tile, scratch, out)
-    }
-
-    fn decompress_matrix_into(
-        &self,
-        matrix: &CompressedMatrix,
-        out: &mut WeightMatrix,
-    ) -> Result<(), CompressError> {
-        check_output_shape(matrix, out)?;
-        let rows = matrix.rows();
-        let cols = matrix.cols();
-        let tile_rows = matrix.tile_rows();
-        let tile_cols = matrix.tile_cols();
-        let workers = self.worker_count(tile_rows);
-
-        // One band of up to 16 matrix rows per tile row; bands are disjoint
-        // contiguous slices of the row-major output, so the scoped threads
-        // never alias.
-        let bands: Vec<(usize, &mut [f32])> = out
-            .data_mut()
-            .chunks_mut(TILE_ROWS * cols)
-            .enumerate()
-            .collect();
-        let mut groups: Vec<Vec<(usize, &mut [f32])>> = Vec::new();
-        groups.resize_with(workers, Vec::new);
-        for (i, band) in bands {
-            groups[i % workers].push((i, band));
-        }
-
-        let results: Vec<Result<(), CompressError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| {
-                    scope.spawn(move || {
-                        let mut tile = DenseTile::zero();
-                        let mut scratch = DecompressScratch::new();
-                        for (tr, band) in group {
-                            let band_rows = (rows - tr * TILE_ROWS).min(TILE_ROWS);
-                            for tc in 0..tile_cols {
-                                self.inner.decompress_tile_into(
-                                    matrix.tile(tr, tc),
-                                    &mut scratch,
-                                    &mut tile,
-                                )?;
-                                store_tile_in_band(band, band_rows, cols, tc, &tile);
-                            }
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("decompression worker panicked"))
-                .collect()
-        });
-        results.into_iter().collect()
     }
 }
 
@@ -1017,277 +893,6 @@ mod simd_x86 {
     }
 }
 
-/// The deterministic decision table behind [`AutoTunedEngine`]: which fixed
-/// backend decompresses each tile class, and how many workers fan out
-/// whole-matrix decompression.
-///
-/// Tile classes are keyed by three scheme properties that change which
-/// datapath stage dominates: whether dequantization goes through a LUT,
-/// whether the tile is sparse (expansion stage present), and whether it is
-/// group-quantized (scale stage present). [`CalibrationTable::calibrate`]
-/// fills the table by timing every fixed tile backend on one synthetic tile
-/// per class; [`CalibrationTable::fixed`] builds a fully deterministic
-/// override for tests. Because every backend is bit-exact, the choice only
-/// ever affects speed, never output.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CalibrationTable {
-    /// Winning tile backend per `(lut, sparse, scaled)` class.
-    tile: [EngineKind; 8],
-    /// Worker threads for whole-matrix fan-out (1 = stream in-thread).
-    matrix_threads: usize,
-}
-
-impl CalibrationTable {
-    fn index(lut: bool, sparse: bool, scaled: bool) -> usize {
-        (usize::from(lut) << 2) | (usize::from(sparse) << 1) | usize::from(scaled)
-    }
-
-    /// A table routing every tile class to `kind` and fanning matrices out
-    /// over `threads` workers — the deterministic override for tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` is [`EngineKind::AutoTuned`] (the dispatcher cannot
-    /// route to itself) or `threads` is zero.
-    #[must_use]
-    pub fn fixed(kind: EngineKind, threads: usize) -> Self {
-        assert!(
-            kind != EngineKind::AutoTuned,
-            "calibration table entries must be fixed backends"
-        );
-        assert!(threads > 0, "at least one matrix worker is required");
-        CalibrationTable {
-            tile: [kind; 8],
-            matrix_threads: threads,
-        }
-    }
-
-    /// The backend chosen for a tile class.
-    #[must_use]
-    pub fn tile_choice(&self, lut: bool, sparse: bool, scaled: bool) -> EngineKind {
-        self.tile[Self::index(lut, sparse, scaled)]
-    }
-
-    /// The tuned whole-matrix worker count.
-    #[must_use]
-    pub fn matrix_threads(&self) -> usize {
-        self.matrix_threads
-    }
-
-    /// Micro-benchmarks every fixed tile backend on one synthetic tile per
-    /// class (and streamed vs. fanned-out whole-matrix decompression) and
-    /// records the winners. Timing-based, so the *choices* can vary across
-    /// hosts — outputs never do, since all backends are bit-exact.
-    #[must_use]
-    pub fn calibrate() -> Self {
-        use crate::{generator::WeightGenerator, CompressionScheme, Compressor};
-
-        let class_scheme = |lut: bool, sparse: bool, scaled: bool| match (lut, sparse, scaled) {
-            // BF16 passthrough has no group-quantized variant; calibrate
-            // the scaled slot with the same scheme as the unscaled one.
-            (false, false, _) => CompressionScheme::bf16_dense(),
-            (false, true, _) => CompressionScheme::bf16_sparse(0.5),
-            (true, false, false) => CompressionScheme::bf8_dense(),
-            (true, true, false) => CompressionScheme::bf8_sparse(0.5),
-            (true, false, true) => CompressionScheme::mxfp4(),
-            (true, true, true) => CompressionScheme::mxfp4_sparse(0.5),
-        };
-        let candidates = [
-            EngineKind::Scalar,
-            EngineKind::WordParallel,
-            EngineKind::Simd,
-        ];
-        let engines: Vec<Box<dyn DecompressEngine>> =
-            candidates.iter().map(|k| k.build()).collect();
-        let sample_dense = WeightGenerator::new(0xDECA).dense_matrix(TILE_ROWS, TILE_COLS);
-        let mut tile = [EngineKind::WordParallel; 8];
-        for lut in [false, true] {
-            for sparse in [false, true] {
-                for scaled in [false, true] {
-                    let scheme = class_scheme(lut, sparse, scaled);
-                    let sample = Compressor::new(scheme)
-                        .compress_tile(&sample_dense.tile(0, 0))
-                        .expect("calibration tile compresses");
-                    let mut best = (f64::INFINITY, EngineKind::WordParallel);
-                    for (kind, engine) in candidates.iter().zip(&engines) {
-                        let secs = Self::time_tile(engine.as_ref(), &sample);
-                        if secs < best.0 {
-                            best = (secs, *kind);
-                        }
-                    }
-                    tile[Self::index(lut, sparse, scaled)] = best.1;
-                }
-            }
-        }
-
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let matrix_threads = if available <= 1 {
-            1
-        } else {
-            let matrix = Compressor::new(CompressionScheme::bf8_sparse(0.5))
-                .compress_matrix(&WeightGenerator::new(0xDECA).dense_matrix(128, 128))
-                .expect("calibration matrix compresses");
-            let streamed = Self::time_matrix(&WordParallelEngine::new(), &matrix);
-            let fanned = Self::time_matrix(
-                &ParallelMatrixEngine::new().with_threads(available),
-                &matrix,
-            );
-            if fanned < streamed {
-                available
-            } else {
-                1
-            }
-        };
-        CalibrationTable {
-            tile,
-            matrix_threads,
-        }
-    }
-
-    /// The process-wide calibration, measured once on first use so that
-    /// constructing [`AutoTunedEngine`] in a loop stays cheap.
-    #[must_use]
-    pub fn shared() -> &'static CalibrationTable {
-        static SHARED: std::sync::OnceLock<CalibrationTable> = std::sync::OnceLock::new();
-        SHARED.get_or_init(CalibrationTable::calibrate)
-    }
-
-    fn time_tile(engine: &dyn DecompressEngine, tile: &CompressedTile) -> f64 {
-        let mut out = DenseTile::zero();
-        let mut scratch = DecompressScratch::new();
-        let mut run = || {
-            engine
-                .decompress_tile_into(tile, &mut scratch, &mut out)
-                .expect("calibration decompression");
-        };
-        run(); // warm scratch buffers and lazy LUTs outside the timed loop
-        let start = std::time::Instant::now();
-        for _ in 0..64 {
-            run();
-        }
-        start.elapsed().as_secs_f64()
-    }
-
-    fn time_matrix(engine: &dyn DecompressEngine, matrix: &CompressedMatrix) -> f64 {
-        let mut out = WeightMatrix::zeros(matrix.rows(), matrix.cols());
-        let mut run = || {
-            engine
-                .decompress_matrix_into(matrix, &mut out)
-                .expect("calibration decompression");
-        };
-        run();
-        let start = std::time::Instant::now();
-        for _ in 0..4 {
-            run();
-        }
-        start.elapsed().as_secs_f64()
-    }
-}
-
-/// Calibration-driven dispatcher over the fixed backends: every tile is
-/// routed to the backend that won the micro-benchmark for its `(lut,
-/// sparse, scaled)` class, and whole matrices either stream in-thread
-/// through those per-tile winners or fan out over the tuned worker count.
-///
-/// Construction via [`AutoTunedEngine::new`] uses the process-wide
-/// [`CalibrationTable::shared`] measurement; [`AutoTunedEngine::with_table`]
-/// injects an explicit table for deterministic tests. Dispatch never
-/// affects results — all backends are bit-exact — so the tuner is purely a
-/// throughput decision.
-#[derive(Debug, Clone)]
-pub struct AutoTunedEngine {
-    table: CalibrationTable,
-    scalar: ScalarEngine,
-    word: WordParallelEngine,
-    simd: SimdEngine,
-}
-
-impl AutoTunedEngine {
-    /// Creates the engine from the process-wide calibration.
-    #[must_use]
-    pub fn new() -> Self {
-        AutoTunedEngine::with_table(CalibrationTable::shared().clone())
-    }
-
-    /// Creates the engine with an explicit calibration table.
-    #[must_use]
-    pub fn with_table(table: CalibrationTable) -> Self {
-        AutoTunedEngine {
-            table,
-            scalar: ScalarEngine::new(),
-            word: WordParallelEngine::new(),
-            simd: SimdEngine::new(),
-        }
-    }
-
-    /// The decision table driving dispatch.
-    #[must_use]
-    pub fn table(&self) -> &CalibrationTable {
-        &self.table
-    }
-
-    fn tile_engine(&self, tile: &CompressedTile) -> &dyn DecompressEngine {
-        let scheme = tile.scheme();
-        let choice = self.table.tile_choice(
-            scheme.format() != QuantFormat::Bf16,
-            scheme.is_sparse(),
-            scheme.group_size().is_some(),
-        );
-        match choice {
-            EngineKind::Scalar => &self.scalar,
-            EngineKind::Simd => &self.simd,
-            // WordParallel, and ParallelMatrix's tile path, both route to
-            // the word-parallel tile kernel. AutoTuned is unconstructible
-            // in a table (`CalibrationTable::fixed` rejects it).
-            _ => &self.word,
-        }
-    }
-}
-
-impl Default for AutoTunedEngine {
-    fn default() -> Self {
-        AutoTunedEngine::new()
-    }
-}
-
-impl DecompressEngine for AutoTunedEngine {
-    fn name(&self) -> &'static str {
-        "auto-tuned"
-    }
-
-    fn decompress_tile_into(
-        &self,
-        tile: &CompressedTile,
-        scratch: &mut DecompressScratch,
-        out: &mut DenseTile,
-    ) -> Result<(), CompressError> {
-        self.tile_engine(tile)
-            .decompress_tile_into(tile, scratch, out)
-    }
-
-    fn decompress_matrix_into(
-        &self,
-        matrix: &CompressedMatrix,
-        out: &mut WeightMatrix,
-    ) -> Result<(), CompressError> {
-        if self.table.matrix_threads() > 1 {
-            return ParallelMatrixEngine::new()
-                .with_threads(self.table.matrix_threads())
-                .decompress_matrix_into(matrix, out);
-        }
-        check_output_shape(matrix, out)?;
-        let mut tile = DenseTile::zero();
-        let mut scratch = DecompressScratch::new();
-        for tr in 0..matrix.tile_rows() {
-            for tc in 0..matrix.tile_cols() {
-                self.decompress_tile_into(matrix.tile(tr, tc), &mut scratch, &mut tile)?;
-                store_tile(out, tr, tc, &tile);
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The enumerable backend axis: names every provided engine so that higher
 /// layers can select one and report which one ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1298,22 +903,16 @@ pub enum EngineKind {
     WordParallel,
     /// [`SimdEngine`] — AVX2 vector kernels with a portable fallback.
     Simd,
-    /// [`ParallelMatrixEngine`] — scoped-thread fan-out over tile rows.
-    ParallelMatrix,
-    /// [`AutoTunedEngine`] — calibration-driven dispatch over the others.
-    AutoTuned,
 }
 
 impl EngineKind {
     /// Every provided backend, in reference-first order.
     #[must_use]
-    pub fn all() -> [EngineKind; 5] {
+    pub fn all() -> [EngineKind; 3] {
         [
             EngineKind::Scalar,
             EngineKind::WordParallel,
             EngineKind::Simd,
-            EngineKind::ParallelMatrix,
-            EngineKind::AutoTuned,
         ]
     }
 
@@ -1324,8 +923,6 @@ impl EngineKind {
             EngineKind::Scalar => "scalar",
             EngineKind::WordParallel => "word-parallel",
             EngineKind::Simd => "simd",
-            EngineKind::ParallelMatrix => "parallel-matrix",
-            EngineKind::AutoTuned => "auto-tuned",
         }
     }
 
@@ -1336,8 +933,6 @@ impl EngineKind {
             EngineKind::Scalar => Box::new(ScalarEngine::new()),
             EngineKind::WordParallel => Box::new(WordParallelEngine::new()),
             EngineKind::Simd => Box::new(SimdEngine::new()),
-            EngineKind::ParallelMatrix => Box::new(ParallelMatrixEngine::new()),
-            EngineKind::AutoTuned => Box::new(AutoTunedEngine::new()),
         }
     }
 }
@@ -1421,24 +1016,6 @@ mod tests {
         for kind in EngineKind::all() {
             let got = kind.build().decompress_matrix(&cm).expect("engine");
             assert_eq!(got, expected, "{kind}");
-        }
-    }
-
-    #[test]
-    fn parallel_engine_thread_cap_is_respected_and_correct() {
-        let g = WeightGenerator::new(10);
-        let m = g.dense_matrix(128, 96);
-        let cm = Compressor::new(CompressionScheme::mxfp4())
-            .compress_matrix(&m)
-            .expect("compress");
-        let expected = Decompressor::new().decompress_matrix(&cm).expect("ref");
-        for threads in [1, 2, 7] {
-            let engine = ParallelMatrixEngine::new().with_threads(threads);
-            assert_eq!(
-                engine.decompress_matrix(&cm).expect("engine"),
-                expected,
-                "{threads} threads"
-            );
         }
     }
 
@@ -1541,52 +1118,5 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "position {pos}");
             }
         }
-    }
-
-    #[test]
-    fn auto_tuned_table_override_is_deterministic_and_bit_exact() {
-        let table = CalibrationTable::fixed(EngineKind::Simd, 1);
-        let engine = AutoTunedEngine::with_table(table.clone());
-        assert_eq!(engine.table(), &table);
-        for lut in [false, true] {
-            for sparse in [false, true] {
-                for scaled in [false, true] {
-                    assert_eq!(table.tile_choice(lut, sparse, scaled), EngineKind::Simd);
-                }
-            }
-        }
-        assert_eq!(table.matrix_threads(), 1);
-        let m = WeightGenerator::new(21).dense_matrix(48, 64);
-        let cm = Compressor::new(CompressionScheme::mxfp4_sparse(0.3))
-            .compress_matrix(&m)
-            .expect("compress");
-        let expected = Decompressor::new().decompress_matrix(&cm).expect("ref");
-        assert_eq!(engine.decompress_matrix(&cm).expect("engine"), expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed backends")]
-    fn calibration_table_rejects_the_dispatcher_itself() {
-        let _ = CalibrationTable::fixed(EngineKind::AutoTuned, 1);
-    }
-
-    #[test]
-    fn shared_calibration_chooses_only_fixed_tile_backends() {
-        let table = CalibrationTable::shared();
-        for lut in [false, true] {
-            for sparse in [false, true] {
-                for scaled in [false, true] {
-                    let choice = table.tile_choice(lut, sparse, scaled);
-                    assert!(
-                        matches!(
-                            choice,
-                            EngineKind::Scalar | EngineKind::WordParallel | EngineKind::Simd
-                        ),
-                        "unexpected calibration winner {choice}"
-                    );
-                }
-            }
-        }
-        assert!(table.matrix_threads() >= 1);
     }
 }

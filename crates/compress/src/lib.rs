@@ -18,10 +18,8 @@
 //!   online decompression,
 //! * [`engine`] — the pluggable streaming decompression backends
 //!   ([`DecompressEngine`]): scalar reference, word-parallel
-//!   (POPCNT/prefix-sum style), explicitly vectorized SIMD (AVX2 with a
-//!   portable chunked fallback), threaded whole-matrix fan-out and a
-//!   calibration-driven auto-tuned dispatcher, all bit-exact against each
-//!   other,
+//!   (POPCNT/prefix-sum style) and explicitly vectorized SIMD (AVX2 with a
+//!   portable chunked fallback), all bit-exact against each other,
 //! * [`generator`] — synthetic weight matrices with controlled density.
 //!
 //! # Example
@@ -58,8 +56,8 @@ pub use bitmask::Bitmask;
 pub use compressor::{compress, Compressor};
 pub use decompressor::Decompressor;
 pub use engine::{
-    AutoTunedEngine, CalibrationTable, DecompressEngine, DecompressScratch, EngineKind, FormatLuts,
-    ParallelMatrixEngine, ScalarEngine, SimdEngine, WordParallelEngine,
+    DecompressEngine, DecompressScratch, EngineKind, FormatLuts, ScalarEngine, SimdEngine,
+    WordParallelEngine,
 };
 pub use error::CompressError;
 pub use matrix::{CompressedMatrix, WeightMatrix};

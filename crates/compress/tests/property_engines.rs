@@ -7,9 +7,9 @@
 //! `CompressError::CorruptTile`, never silently decompressed.
 
 use deca_compress::{
-    generator::WeightGenerator, pack_codes, AutoTunedEngine, Bitmask, CalibrationTable,
-    CompressError, CompressedTile, CompressionScheme, Compressor, DecompressEngine,
-    DecompressScratch, Decompressor, DenseTile, EngineKind, SimdEngine, TILE_ELEMS,
+    generator::WeightGenerator, pack_codes, Bitmask, CompressError, CompressedTile,
+    CompressionScheme, Compressor, DecompressEngine, DecompressScratch, Decompressor, DenseTile,
+    EngineKind, SimdEngine, TILE_ELEMS,
 };
 use deca_numerics::QuantFormat;
 use proptest::prelude::*;
@@ -145,36 +145,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Calibration tables built from a fixed override are fully
-    /// deterministic — identical tables, identical per-class choices — and
-    /// the auto-tuned engine they drive keeps the bit-exact contract for
-    /// every override and worker count.
-    #[test]
-    fn auto_tuner_fixed_override_is_deterministic(
-        kind_idx in 0usize..3,
-        threads in 1usize..5,
-        seed in 0u64..200,
-        format_idx in 0usize..7,
-    ) {
-        let kind = [EngineKind::Scalar, EngineKind::WordParallel, EngineKind::Simd][kind_idx];
-        let table = CalibrationTable::fixed(kind, threads);
-        prop_assert_eq!(&table, &CalibrationTable::fixed(kind, threads));
-        for lut in [false, true] {
-            for sparse in [false, true] {
-                for scaled in [false, true] {
-                    prop_assert_eq!(table.tile_choice(lut, sparse, scaled), kind);
-                }
-            }
-        }
-        prop_assert_eq!(table.matrix_threads(), threads);
-        let engine = AutoTunedEngine::with_table(table);
-        let scheme = scheme_for(format_idx, 0.4);
-        let m = WeightGenerator::new(seed).dense_matrix(40, 50);
-        let cm = Compressor::new(scheme).compress_matrix(&m).expect("compress");
-        let reference = Decompressor::new().decompress_matrix(&cm).expect("reference");
-        prop_assert_eq!(engine.decompress_matrix(&cm).expect("engine"), reference);
     }
 }
 

@@ -210,7 +210,7 @@ impl FleetReport {
 ///
 /// Replicas are independent simulations, so they fan out across OS
 /// threads with `std::thread::scope`, banded round-robin over the
-/// available cores the same way `ParallelMatrixEngine` bands tiles. The
+/// available cores (worker `i` runs replicas `i`, `i + workers`, ...). The
 /// cost-model factory still runs serially in replica order on the calling
 /// thread (it is `FnMut` and may carry warm caches), and the reports are
 /// reassembled in load-balancer order — the result is byte-identical to
