@@ -1,7 +1,7 @@
 //! Runs compressed-GeMM kernels on the simulated machine.
 
 use deca::{timing, DecaConfig, IntegrationConfig};
-use deca_compress::{CompressionScheme, EngineKind};
+use deca_compress::CompressionScheme;
 use deca_roofsurface::{MachineConfig, Roofline};
 use deca_sim::{CacheConfig, GemmSimulation, GemmStats, TileExecModel};
 
@@ -83,10 +83,6 @@ pub struct GemmRunResult {
     pub scheme: String,
     /// Engine label.
     pub engine: String,
-    /// Which functional decompression backend stands behind this modeled
-    /// run (the engine used when cross-checking modeled numbers against the
-    /// functional ground truth).
-    pub decompress_engine: String,
     /// Batch size used.
     pub batch: usize,
     /// Achieved TFLOPS (FMAs/s ×1e-12) at the socket level.
@@ -168,7 +164,6 @@ impl CompressedGemmExecutor {
         GemmRunResult {
             scheme: scheme.label(),
             engine: engine.label(),
-            decompress_engine: EngineKind::Scalar.label().to_string(),
             batch,
             tflops: stats.tflops(&self.machine, batch),
             stats,
@@ -274,16 +269,6 @@ mod tests {
         assert!(sw.stats.decompress_utilization() > 0.85);
         assert!(sw.stats.memory_utilization() < 0.6);
         assert!(deca.stats.memory_utilization() > 0.8);
-    }
-
-    #[test]
-    fn results_name_the_decompress_backend() {
-        let run = executor().run(
-            &CompressionScheme::bf8_sparse(0.2),
-            Engine::deca_default(),
-            1,
-        );
-        assert_eq!(run.decompress_engine, "scalar");
     }
 
     #[test]

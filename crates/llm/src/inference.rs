@@ -37,9 +37,6 @@ pub struct NextTokenReport {
     pub scheme: String,
     /// Engine label.
     pub engine: String,
-    /// Which functional decompression backend stands behind the modeled FC
-    /// numbers (the engine axis of the compression substrate).
-    pub decompress_engine: String,
     /// Batch size.
     pub batch: usize,
     /// Context length (tokens already in the KV cache).
@@ -98,8 +95,6 @@ pub struct PrefillReport {
     pub scheme: String,
     /// Engine label.
     pub engine: String,
-    /// Functional decompression backend behind the modeled FC numbers.
-    pub decompress_engine: String,
     /// Prompt tokens processed by this prefill.
     pub prompt_tokens: usize,
     /// Tokens already resident in the KV cache before the prefill (0 for a
@@ -226,7 +221,7 @@ impl InferenceEstimator {
         // One steady-state simulation gives the per-tile rate for this
         // (scheme, engine, batch); every FC GeMM then contributes its own
         // worst-loaded-core tile count at that rate.
-        let (seconds_per_tile, decompress_engine) = self.decode_tile_seconds(scheme, engine, batch);
+        let seconds_per_tile = self.decode_tile_seconds(scheme, engine, batch);
         let fc_seconds = self.fc_seconds_for(&model.fc_gemms_per_token(batch), seconds_per_tile);
         let attention_seconds = self.attention_seconds(model, batch, context_tokens);
         let other_seconds = Self::overhead_seconds(model.layers(), batch);
@@ -235,7 +230,6 @@ impl InferenceEstimator {
             model: model.name().to_string(),
             scheme: scheme.label(),
             engine: engine.label(),
-            decompress_engine,
             batch,
             context_tokens,
             fc_seconds,
@@ -268,8 +262,7 @@ impl InferenceEstimator {
         context_tokens: usize,
     ) -> PrefillReport {
         assert!(prompt_tokens > 0, "a prefill processes at least one token");
-        let (seconds_per_tile, decompress_engine) =
-            self.prefill_tile_seconds(scheme, engine, prompt_tokens);
+        let seconds_per_tile = self.prefill_tile_seconds(scheme, engine, prompt_tokens);
         let fc_seconds =
             self.fc_seconds_for(&model.fc_gemms_per_token(prompt_tokens), seconds_per_tile);
         let attention_seconds =
@@ -282,7 +275,6 @@ impl InferenceEstimator {
             model: model.name().to_string(),
             scheme: scheme.label(),
             engine: engine.label(),
-            decompress_engine,
             prompt_tokens,
             context_tokens,
             fc_seconds,
@@ -322,19 +314,17 @@ impl InferenceEstimator {
         partition.max_tiles_per_core() as f64 * seconds_per_tile
     }
 
-    /// Steady-state decode tile rate for a (scheme, engine, batch) point,
-    /// plus the functional decompression backend's label. Shared with the
-    /// sharded estimator (`crate::parallel`) so both views price a tile
-    /// identically.
+    /// Steady-state decode tile rate for a (scheme, engine, batch) point.
+    /// Shared with the sharded estimator (`crate::parallel`) so both views
+    /// price a tile identically.
     pub(crate) fn decode_tile_seconds(
         &self,
         scheme: &CompressionScheme,
         engine: Engine,
         batch: usize,
-    ) -> (f64, String) {
+    ) -> f64 {
         let run = self.executor.run(scheme, engine, batch);
-        let seconds_per_tile = run.stats.cycles_per_tile() / self.machine.frequency_hz();
-        (seconds_per_tile, run.decompress_engine)
+        run.stats.cycles_per_tile() / self.machine.frequency_hz()
     }
 
     /// Per-tile prefill rate: the slower of the steady-state stream rate and
@@ -345,16 +335,13 @@ impl InferenceEstimator {
         scheme: &CompressionScheme,
         engine: Engine,
         prompt_tokens: usize,
-    ) -> (f64, String) {
+    ) -> f64 {
         let run = self.executor.run(scheme, engine, prompt_tokens);
         let stream_seconds_per_tile = run.stats.cycles_per_tile() / self.machine.frequency_hz();
         let tmul_seconds_per_tile = prompt_tokens.div_ceil(16) as f64
             * f64::from(self.machine.tmul_cycles_per_op)
             / self.machine.frequency_hz();
-        (
-            stream_seconds_per_tile.max(tmul_seconds_per_tile),
-            run.decompress_engine,
-        )
+        stream_seconds_per_tile.max(tmul_seconds_per_tile)
     }
 
     /// Total FC time of a list of GeMMs at a fixed per-tile rate: each GeMM
@@ -518,7 +505,6 @@ mod tests {
         assert!((report.tokens_per_second() - 4.0 / total).abs() < 1e-6);
         assert_eq!(report.batch, 4);
         assert_eq!(report.scheme, "Q4");
-        assert_eq!(report.decompress_engine, "scalar");
     }
 
     #[test]
@@ -592,7 +578,6 @@ mod tests {
         assert!((report.tokens_per_second() - 128.0 / total).abs() < 1e-6);
         assert_eq!(report.prompt_tokens, 128);
         assert_eq!(report.scheme, "Q4");
-        assert_eq!(report.decompress_engine, "scalar");
     }
 
     #[test]

@@ -215,8 +215,6 @@ pub struct ShardedNextTokenReport {
     pub scheme: String,
     /// Engine label.
     pub engine: String,
-    /// Functional decompression backend behind the modeled FC numbers.
-    pub decompress_engine: String,
     /// The sharding plan.
     pub spec: ShardSpec,
     /// Batch size.
@@ -291,8 +289,6 @@ pub struct ShardedPrefillReport {
     pub scheme: String,
     /// Engine label.
     pub engine: String,
-    /// Functional decompression backend behind the modeled FC numbers.
-    pub decompress_engine: String,
     /// The sharding plan.
     pub spec: ShardSpec,
     /// Prompt tokens processed by this prefill.
@@ -416,8 +412,7 @@ impl ShardedEstimator {
         batch: usize,
         context_tokens: usize,
     ) -> ShardedNextTokenReport {
-        let (seconds_per_tile, decompress_engine) =
-            self.inner.decode_tile_seconds(scheme, engine, batch);
+        let seconds_per_tile = self.inner.decode_tile_seconds(scheme, engine, batch);
         let (fc_seconds, attention_seconds, other_seconds) = self.stage_components(
             model,
             batch,
@@ -430,7 +425,6 @@ impl ShardedEstimator {
             model: model.name().to_string(),
             scheme: scheme.label(),
             engine: engine.label(),
-            decompress_engine,
             spec: self.spec,
             batch,
             context_tokens,
@@ -460,9 +454,9 @@ impl ShardedEstimator {
         context_tokens: usize,
     ) -> ShardedPrefillReport {
         assert!(prompt_tokens > 0, "a prefill processes at least one token");
-        let (seconds_per_tile, decompress_engine) =
-            self.inner
-                .prefill_tile_seconds(scheme, engine, prompt_tokens);
+        let seconds_per_tile = self
+            .inner
+            .prefill_tile_seconds(scheme, engine, prompt_tokens);
         let (fc_seconds, attention_seconds, other_seconds) = self.stage_components(
             model,
             prompt_tokens,
@@ -480,7 +474,6 @@ impl ShardedEstimator {
             model: model.name().to_string(),
             scheme: scheme.label(),
             engine: engine.label(),
-            decompress_engine,
             spec: self.spec,
             prompt_tokens,
             context_tokens,
