@@ -14,9 +14,7 @@ use deca_compress::{
     WeightMatrix,
 };
 use deca_kernels::{avx_model::software_signature, CompressedGemmExecutor, Engine};
-use deca_llm::{
-    footprint, InferenceEstimator, InterconnectModel, LlmModel, ShardSpec, ShardedEstimator,
-};
+use deca_llm::{footprint, InferenceEstimator, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::{MachineConfig, RoofSurface};
 use deca_serve::{
     best_pool_split, capacity_search, capacity_search_warm, disagg_capacity_search_with,
@@ -495,16 +493,20 @@ fn sharding_scheme_row(
 ) -> (Json, Option<String>) {
     // One-socket view: do the weights fit at all, and does the working set
     // fit on top of them?
-    let fits_working_set =
-        footprint::fits_in_hbm_with_kv(model, scheme, SHARDING_CURVE_CONTEXT, SHARDING_MAX_BATCH);
+    let single = ShardSpec::single();
+    let fits_working_set = footprint::fits_in_hbm_with_kv(
+        model,
+        scheme,
+        &single,
+        SHARDING_CURVE_CONTEXT,
+        SHARDING_MAX_BATCH,
+    );
+    let weights_fit_one_socket = footprint::fits_in_hbm(model, scheme, &single);
     let one_socket = Json::obj(vec![
-        (
-            "fits_weights",
-            Json::Bool(footprint::fits_in_hbm(model, scheme)),
-        ),
+        ("fits_weights", Json::Bool(weights_fit_one_socket)),
         (
             "kv_budget_tokens",
-            footprint::max_kv_tokens(model, scheme).map_or(Json::Null, |b| num(b as f64)),
+            footprint::max_kv_tokens(model, scheme, &single).map_or(Json::Null, |b| num(b as f64)),
         ),
         ("fits_working_set", Json::Bool(fits_working_set)),
     ]);
@@ -548,7 +550,6 @@ fn sharding_scheme_row(
         // The headline sentence claims the weights fit on one socket, so
         // it only applies to schemes where that is actually true (Q4, not
         // dense Q8, whose weights alone overflow the 64 GB).
-        let weights_fit_one_socket = footprint::fits_in_hbm(model, scheme);
         if let (true, false, Some(win)) = (weights_fit_one_socket, fits_working_set, &deca_min) {
             headline = Some(format!(
                 "{} {} fits its weights on one socket but cannot hold the \
@@ -584,7 +585,7 @@ fn sharding_curve_point(
     interconnect: InterconnectModel,
     deca_applies: bool,
 ) -> Json {
-    let estimator = ShardedEstimator::new(machine.clone(), spec, interconnect);
+    let estimator = InferenceEstimator::sharded(machine.clone(), spec, interconnect);
     let sw = estimator.next_token(
         model,
         scheme,

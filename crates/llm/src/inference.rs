@@ -8,12 +8,18 @@
 //! modelled as KV-cache bandwidth time plus a per-layer overhead calibrated
 //! once against Table 1's FC-time fractions and then left untouched for
 //! every other experiment.
+//!
+//! The estimator carries a sharding plan ([`ShardSpec`]) and an
+//! [`InterconnectModel`]: each pipeline stage runs its layers' per-socket
+//! shard shapes, and tensor-parallel all-reduces and stage transfers are
+//! added on top. The single-socket plan has exactly one stage of
+//! unsharded shapes and zero interconnect terms.
 
 use deca_compress::CompressionScheme;
 use deca_kernels::{CompressedGemmExecutor, Engine, GemmShape, Parlooper};
 use deca_roofsurface::MachineConfig;
 
-use crate::LlmModel;
+use crate::{InterconnectModel, LlmModel, ShardSpec};
 
 /// Fixed per-layer, per-token overhead (µs) for normalization, softmax,
 /// residuals, KV-cache bookkeeping and framework dispatch. Calibrated so the
@@ -28,7 +34,9 @@ const LAYER_OVERHEAD_PER_SEQUENCE_US: f64 = 7.0;
 /// the tile pipeline reaches steady state.
 const GEMM_LAUNCH_BARRIER_US: f64 = 15.0;
 
-/// Latency breakdown of generating one token.
+/// Latency breakdown of generating one token under the estimator's
+/// sharding plan: the per-socket compute/memory components plus the
+/// interconnect cost (exactly `0.0` on one socket).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NextTokenReport {
     /// Model name.
@@ -37,23 +45,36 @@ pub struct NextTokenReport {
     pub scheme: String,
     /// Engine label.
     pub engine: String,
+    /// The sharding plan.
+    pub spec: ShardSpec,
     /// Batch size.
     pub batch: usize,
     /// Context length (tokens already in the KV cache).
     pub context_tokens: usize,
-    /// Seconds spent in FC-layer GeMMs.
+    /// Seconds spent in FC-layer GeMMs, summed over the pipeline stages
+    /// (each stage runs its per-socket shard shapes).
     pub fc_seconds: f64,
-    /// Seconds spent reading/writing the KV cache during attention.
+    /// Seconds spent reading/writing the KV cache during attention
+    /// (per socket: the KV heads are sharded).
     pub attention_seconds: f64,
     /// Seconds of per-layer overhead (norms, softmax, residuals, framework).
     pub other_seconds: f64,
+    /// Seconds of tensor-parallel all-reduces (one per TP GeMM).
+    pub allreduce_seconds: f64,
+    /// Seconds of pipeline-boundary activation transfers.
+    pub transfer_seconds: f64,
 }
 
 impl NextTokenReport {
-    /// Total next-token latency in seconds.
+    /// Total next-token latency in seconds (a decode token traverses every
+    /// pipeline stage in sequence).
     #[must_use]
     pub fn total_seconds(&self) -> f64 {
-        self.fc_seconds + self.attention_seconds + self.other_seconds
+        self.fc_seconds
+            + self.attention_seconds
+            + self.other_seconds
+            + self.allreduce_seconds
+            + self.transfer_seconds
     }
 
     /// Total next-token latency in milliseconds (the unit of Table 4).
@@ -72,6 +93,22 @@ impl NextTokenReport {
         }
     }
 
+    /// Total interconnect seconds (all-reduce plus stage transfers).
+    #[must_use]
+    pub fn comm_seconds(&self) -> f64 {
+        self.allreduce_seconds + self.transfer_seconds
+    }
+
+    /// Fraction of the token time spent on the interconnect.
+    #[must_use]
+    pub fn comm_fraction(&self) -> f64 {
+        if self.total_seconds() == 0.0 {
+            0.0
+        } else {
+            self.comm_seconds() / self.total_seconds()
+        }
+    }
+
     /// Tokens per second for the whole batch.
     #[must_use]
     pub fn tokens_per_second(&self) -> f64 {
@@ -86,7 +123,8 @@ impl NextTokenReport {
 /// Latency breakdown of the prefill (prompt-processing) phase of one
 /// sequence: the whole prompt runs through every layer at once, so the FC
 /// GeMMs have `prompt_tokens` activation rows and the TMUL — not the weight
-/// stream — can become the bound.
+/// stream — can become the bound. Under a pipeline plan the prompt flows
+/// through the stages back to back (a single microbatch).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefillReport {
     /// Model name.
@@ -95,17 +133,24 @@ pub struct PrefillReport {
     pub scheme: String,
     /// Engine label.
     pub engine: String,
+    /// The sharding plan.
+    pub spec: ShardSpec,
     /// Prompt tokens processed by this prefill.
     pub prompt_tokens: usize,
     /// Tokens already resident in the KV cache before the prefill (0 for a
     /// fresh request).
     pub context_tokens: usize,
-    /// Seconds spent in FC-layer GeMMs.
+    /// Seconds spent in FC-layer GeMMs across all stages.
     pub fc_seconds: f64,
-    /// Seconds spent reading/writing the KV cache during causal attention.
+    /// Seconds spent reading/writing the KV cache during causal attention
+    /// (per socket).
     pub attention_seconds: f64,
     /// Seconds of per-layer overhead (norms, softmax, residuals, framework).
     pub other_seconds: f64,
+    /// Seconds of tensor-parallel all-reduces.
+    pub allreduce_seconds: f64,
+    /// Seconds of pipeline-boundary activation transfers.
+    pub transfer_seconds: f64,
 }
 
 impl PrefillReport {
@@ -113,13 +158,23 @@ impl PrefillReport {
     /// contribution of prompt processing.
     #[must_use]
     pub fn total_seconds(&self) -> f64 {
-        self.fc_seconds + self.attention_seconds + self.other_seconds
+        self.fc_seconds
+            + self.attention_seconds
+            + self.other_seconds
+            + self.allreduce_seconds
+            + self.transfer_seconds
     }
 
     /// Total prefill latency in milliseconds.
     #[must_use]
     pub fn total_ms(&self) -> f64 {
         self.total_seconds() * 1e3
+    }
+
+    /// Total interconnect seconds.
+    #[must_use]
+    pub fn comm_seconds(&self) -> f64 {
+        self.allreduce_seconds + self.transfer_seconds
     }
 
     /// Prompt tokens processed per second.
@@ -184,22 +239,52 @@ impl DraftSpec {
     }
 }
 
-/// Estimates next-token latency for a model/scheme/engine combination on a
-/// simulated machine.
+/// Estimates next-token and prefill latencies for a model/scheme/engine
+/// combination on a (possibly sharded) simulated machine.
+///
+/// Every estimate runs the same stage path: the per-socket shard shapes of
+/// each pipeline stage are timed through the compressed-GeMM executor,
+/// then the plan's tensor-parallel all-reduces and pipeline-boundary
+/// transfers are priced on the interconnect. The single-socket estimator
+/// ([`InferenceEstimator::new`]) is the `TP=1 × PP=1` point of that path,
+/// whose interconnect terms are exactly `0.0`.
 #[derive(Debug, Clone)]
 pub struct InferenceEstimator {
     machine: MachineConfig,
     executor: CompressedGemmExecutor,
+    spec: ShardSpec,
+    interconnect: InterconnectModel,
 }
 
 impl InferenceEstimator {
-    /// Creates an estimator for a machine.
+    /// Creates a single-socket estimator: the unsharded plan over a
+    /// zero-cost interconnect.
     #[must_use]
     pub fn new(machine: MachineConfig) -> Self {
+        Self::sharded(machine, ShardSpec::single(), InterconnectModel::zero_cost())
+    }
+
+    /// Creates an estimator for a sharding plan: every socket is one
+    /// `machine`, and `interconnect` prices every tensor-parallel
+    /// all-reduce and pipeline-boundary transfer.
+    #[must_use]
+    pub fn sharded(
+        machine: MachineConfig,
+        spec: ShardSpec,
+        interconnect: InterconnectModel,
+    ) -> Self {
         InferenceEstimator {
             executor: CompressedGemmExecutor::new(machine.clone()),
             machine,
+            spec,
+            interconnect,
         }
+    }
+
+    /// The sharding plan.
+    #[must_use]
+    pub fn spec(&self) -> ShardSpec {
+        self.spec
     }
 
     /// The underlying compressed-GeMM executor.
@@ -209,6 +294,11 @@ impl InferenceEstimator {
     }
 
     /// Estimates the latency of generating one token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan has more pipeline stages than the model has
+    /// layers.
     #[must_use]
     pub fn next_token(
         &self,
@@ -222,19 +312,22 @@ impl InferenceEstimator {
         // (scheme, engine, batch); every FC GeMM then contributes its own
         // worst-loaded-core tile count at that rate.
         let seconds_per_tile = self.decode_tile_seconds(scheme, engine, batch);
-        let fc_seconds = self.fc_seconds_for(&model.fc_gemms_per_token(batch), seconds_per_tile);
-        let attention_seconds = self.attention_seconds(model, batch, context_tokens);
-        let other_seconds = Self::overhead_seconds(model.layers(), batch);
-
+        let (fc_seconds, attention_seconds, other_seconds) =
+            self.stage_components(model, batch, seconds_per_tile, |kv_bytes, layers| {
+                self.kv_traffic_seconds(kv_bytes, layers, batch, context_tokens)
+            });
         NextTokenReport {
             model: model.name().to_string(),
             scheme: scheme.label(),
             engine: engine.label(),
+            spec: self.spec,
             batch,
             context_tokens,
             fc_seconds,
             attention_seconds,
             other_seconds,
+            allreduce_seconds: self.allreduce_seconds(model, batch),
+            transfer_seconds: self.transfer_seconds(model, batch),
         }
     }
 
@@ -247,11 +340,14 @@ impl InferenceEstimator {
     /// `ceil(prompt_tokens / 16)` TMUL operations, so per tile the pipeline
     /// pays the *slower* of the steady-state (memory/decompress) tile rate
     /// and the TMUL occupancy — long prompts are compute-bound, exactly why
-    /// prefill and decode need separate models.
+    /// prefill and decode need separate models. Pipeline stages run back to
+    /// back, so pipeline parallelism reduces the per-stage work but not the
+    /// serial depth.
     ///
     /// # Panics
     ///
-    /// Panics if `prompt_tokens` is zero.
+    /// Panics if `prompt_tokens` is zero or the plan has more pipeline
+    /// stages than the model has layers.
     #[must_use]
     pub fn prefill(
         &self,
@@ -263,50 +359,111 @@ impl InferenceEstimator {
     ) -> PrefillReport {
         assert!(prompt_tokens > 0, "a prefill processes at least one token");
         let seconds_per_tile = self.prefill_tile_seconds(scheme, engine, prompt_tokens);
-        let fc_seconds =
-            self.fc_seconds_for(&model.fc_gemms_per_token(prompt_tokens), seconds_per_tile);
-        let attention_seconds =
-            self.prefill_attention_seconds(model, prompt_tokens, context_tokens);
         // The elementwise per-token work (norms, rotary, residuals) scales
         // with the prompt length; the fixed per-layer dispatch is paid once.
-        let other_seconds = Self::overhead_seconds(model.layers(), prompt_tokens);
-
+        let (fc_seconds, attention_seconds, other_seconds) = self.stage_components(
+            model,
+            prompt_tokens,
+            seconds_per_tile,
+            |kv_bytes, layers| {
+                self.prefill_kv_traffic_seconds(kv_bytes, layers, prompt_tokens, context_tokens)
+            },
+        );
         PrefillReport {
             model: model.name().to_string(),
             scheme: scheme.label(),
             engine: engine.label(),
+            spec: self.spec,
             prompt_tokens,
             context_tokens,
             fc_seconds,
             attention_seconds,
             other_seconds,
+            allreduce_seconds: self.allreduce_seconds(model, prompt_tokens),
+            transfer_seconds: self.transfer_seconds(model, prompt_tokens),
         }
     }
 
-    /// Seconds of one speculative-decoding burst for a batch: the draft
-    /// model runs `draft.draft_tokens()` of its own decode steps (weights
-    /// streamed per drafted token), then the target model verifies the
-    /// whole burst in one forward pass, priced as one of *its* decode
-    /// steps — the standard approximation that scoring k drafted tokens
-    /// costs one target pass, since the weight stream (not the k extra
-    /// activation rows) is the bound.
-    #[must_use]
-    pub fn speculative_burst(
+    /// The per-socket compute/memory components summed over the pipeline
+    /// stages. `rows` is the activation row count of every GeMM (the batch
+    /// for decode, the prompt length for prefill); `kv_traffic` prices one
+    /// stage's KV traffic from its per-token KV bytes and layer count.
+    fn stage_components(
         &self,
-        target: &LlmModel,
-        draft: &DraftSpec,
-        scheme: &CompressionScheme,
-        engine: Engine,
-        batch: usize,
-        context_tokens: usize,
-    ) -> f64 {
-        let draft_step = self
-            .next_token(draft.model(), scheme, engine, batch, context_tokens)
-            .total_seconds();
-        let verify = self
-            .next_token(target, scheme, engine, batch, context_tokens)
-            .total_seconds();
-        draft.draft_tokens() as f64 * draft_step + verify
+        model: &LlmModel,
+        rows: usize,
+        seconds_per_tile: f64,
+        kv_traffic: impl Fn(usize, usize) -> f64,
+    ) -> (f64, f64, f64) {
+        let sharded_layer = self.spec.shard_layer(model.layer());
+        let stage_layers = self.spec.stage_layers(model.layers()).unwrap_or_else(|| {
+            panic!(
+                "cannot split {} layers into {} pipeline stages",
+                model.layers(),
+                self.spec.pipeline_parallel
+            )
+        });
+        let last = stage_layers.len() - 1;
+        let lm_head = GemmShape::new(
+            rows,
+            model.layer().hidden,
+            self.spec.shard_vocab(model.vocab()),
+        );
+
+        let mut fc_seconds = 0.0;
+        let mut attention_seconds = 0.0;
+        let mut other_seconds = 0.0;
+        for (stage, &layers) in stage_layers.iter().enumerate() {
+            let mut shapes = Vec::new();
+            for _ in 0..layers {
+                shapes.extend(sharded_layer.fc_gemms(rows));
+            }
+            if stage == last {
+                shapes.push(lm_head);
+            }
+            fc_seconds += self.fc_seconds_for(&shapes, seconds_per_tile);
+            attention_seconds += kv_traffic(sharded_layer.kv_bytes_per_token(), layers);
+            other_seconds += Self::overhead_seconds(layers, rows);
+        }
+        (fc_seconds, attention_seconds, other_seconds)
+    }
+
+    /// Tensor-parallel all-reduce time per token step: one ring all-reduce
+    /// of the full output activation (`rows × M` at BF16) per TP GeMM —
+    /// every layer's GeMMs plus the LM head. A slight over-approximation of
+    /// fused Megatron sharding (which folds column/row-parallel pairs into
+    /// two all-reduces per layer), so the sharded model is conservative.
+    fn allreduce_seconds(&self, model: &LlmModel, rows: usize) -> f64 {
+        let tp = self.spec.tensor_parallel;
+        if tp <= 1 {
+            return 0.0;
+        }
+        let per_layer: f64 = model
+            .layer()
+            .fc_gemms(rows)
+            .iter()
+            .map(|shape| {
+                self.interconnect
+                    .all_reduce_seconds((shape.n * shape.m * 2) as f64, tp)
+            })
+            .sum();
+        per_layer * model.layers() as f64
+            + self
+                .interconnect
+                .all_reduce_seconds((rows * model.vocab() * 2) as f64, tp)
+    }
+
+    /// Pipeline-boundary activation transfers: `PP − 1` point-to-point
+    /// sends of the `rows × hidden` BF16 activation.
+    fn transfer_seconds(&self, model: &LlmModel, rows: usize) -> f64 {
+        let pp = self.spec.pipeline_parallel;
+        if pp <= 1 {
+            return 0.0;
+        }
+        (pp - 1) as f64
+            * self
+                .interconnect
+                .point_to_point_seconds((rows * model.layer().hidden * 2) as f64)
     }
 
     fn gemm_seconds(&self, shape: &GemmShape, seconds_per_tile: f64) -> f64 {
@@ -315,14 +472,7 @@ impl InferenceEstimator {
     }
 
     /// Steady-state decode tile rate for a (scheme, engine, batch) point.
-    /// Shared with the sharded estimator (`crate::parallel`) so both views
-    /// price a tile identically.
-    pub(crate) fn decode_tile_seconds(
-        &self,
-        scheme: &CompressionScheme,
-        engine: Engine,
-        batch: usize,
-    ) -> f64 {
+    fn decode_tile_seconds(&self, scheme: &CompressionScheme, engine: Engine, batch: usize) -> f64 {
         let run = self.executor.run(scheme, engine, batch);
         run.stats.cycles_per_tile() / self.machine.frequency_hz()
     }
@@ -330,7 +480,7 @@ impl InferenceEstimator {
     /// Per-tile prefill rate: the slower of the steady-state stream rate and
     /// the TMUL occupancy — ceil(P/16) tile ops of `tmul_cycles_per_op`
     /// cycles each (the TMUL saturates at 16 activation rows per op).
-    pub(crate) fn prefill_tile_seconds(
+    fn prefill_tile_seconds(
         &self,
         scheme: &CompressionScheme,
         engine: Engine,
@@ -346,7 +496,7 @@ impl InferenceEstimator {
 
     /// Total FC time of a list of GeMMs at a fixed per-tile rate: each GeMM
     /// pays its worst-loaded-core tile count plus the launch/barrier cost.
-    pub(crate) fn fc_seconds_for(&self, shapes: &[GemmShape], seconds_per_tile: f64) -> f64 {
+    fn fc_seconds_for(&self, shapes: &[GemmShape], seconds_per_tile: f64) -> f64 {
         shapes
             .iter()
             .map(|shape| self.gemm_seconds(shape, seconds_per_tile))
@@ -358,7 +508,7 @@ impl InferenceEstimator {
     /// cost is `kv_bytes_per_token`: every layer reads the keys and values
     /// of the whole context for every sequence in the batch, and appends
     /// the new token's keys/values.
-    pub(crate) fn kv_traffic_seconds(
+    fn kv_traffic_seconds(
         &self,
         kv_bytes_per_token: usize,
         layers: usize,
@@ -374,7 +524,7 @@ impl InferenceEstimator {
     /// Causal-attention KV traffic of a prefill: token `i` of the prompt
     /// reads the `context + i` keys/values before it, and every prompt
     /// token appends its own.
-    pub(crate) fn prefill_kv_traffic_seconds(
+    fn prefill_kv_traffic_seconds(
         &self,
         kv_bytes_per_token: usize,
         layers: usize,
@@ -390,40 +540,53 @@ impl InferenceEstimator {
 
     /// Per-layer overhead (norms, softmax, residuals, framework dispatch)
     /// for `layers` layers processing `sequences` token rows.
-    pub(crate) fn overhead_seconds(layers: usize, sequences: usize) -> f64 {
+    fn overhead_seconds(layers: usize, sequences: usize) -> f64 {
         layers as f64
             * (LAYER_OVERHEAD_US + LAYER_OVERHEAD_PER_SEQUENCE_US * sequences as f64)
             * 1e-6
     }
+}
 
-    fn prefill_attention_seconds(
-        &self,
-        model: &LlmModel,
-        prompt_tokens: usize,
-        context_tokens: usize,
-    ) -> f64 {
-        self.prefill_kv_traffic_seconds(
-            model.layer().kv_bytes_per_token(),
+/// The unsharded single-socket composition the stage path replaced, kept
+/// as a test oracle: decode and prefill components priced on the whole
+/// model's GeMM list with the same per-tile, KV-traffic and overhead
+/// helpers. Returns `(decode, prefill)` as `(fc, attention, other)`
+/// second triples.
+#[cfg(test)]
+pub(crate) fn single_socket_reference(
+    estimator: &InferenceEstimator,
+    model: &LlmModel,
+    scheme: &CompressionScheme,
+    engine: Engine,
+    batch: usize,
+    prompt_tokens: usize,
+    context_tokens: usize,
+) -> ([f64; 3], [f64; 3]) {
+    let kv_bytes = model.layer().kv_bytes_per_token();
+    let decode_tile = estimator.decode_tile_seconds(scheme, engine, batch);
+    let decode = [
+        estimator.fc_seconds_for(&model.fc_gemms_per_token(batch), decode_tile),
+        estimator.kv_traffic_seconds(kv_bytes, model.layers(), batch, context_tokens),
+        InferenceEstimator::overhead_seconds(model.layers(), batch),
+    ];
+    let prefill_tile = estimator.prefill_tile_seconds(scheme, engine, prompt_tokens);
+    let prefill = [
+        estimator.fc_seconds_for(&model.fc_gemms_per_token(prompt_tokens), prefill_tile),
+        estimator.prefill_kv_traffic_seconds(
+            kv_bytes,
             model.layers(),
             prompt_tokens,
             context_tokens,
-        )
-    }
-
-    fn attention_seconds(&self, model: &LlmModel, batch: usize, context_tokens: usize) -> f64 {
-        self.kv_traffic_seconds(
-            model.layer().kv_bytes_per_token(),
-            model.layers(),
-            batch,
-            context_tokens,
-        )
-    }
+        ),
+        InferenceEstimator::overhead_seconds(model.layers(), prompt_tokens),
+    ];
+    (decode, prefill)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deca_compress::CompressionScheme;
+    use proptest::prelude::*;
 
     fn hbm() -> InferenceEstimator {
         InferenceEstimator::new(MachineConfig::spr_hbm())
@@ -610,27 +773,106 @@ mod tests {
         let _ = DraftSpec::llama2_7b(0);
     }
 
-    #[test]
-    fn speculative_burst_prices_draft_steps_plus_one_verify() {
-        let estimator = hbm();
-        let target = LlmModel::llama2_70b();
-        let scheme = CompressionScheme::bf8_sparse(0.05);
-        let engine = Engine::deca_default();
-        let draft = DraftSpec::llama2_7b(4);
-        let burst = estimator.speculative_burst(&target, &draft, &scheme, engine, 4, 512);
-        let draft_step = estimator
-            .next_token(draft.model(), &scheme, engine, 4, 512)
-            .total_seconds();
-        let verify = estimator
-            .next_token(&target, &scheme, engine, 4, 512)
-            .total_seconds();
-        assert_eq!(
-            burst.to_bits(),
-            (4.0 * draft_step + verify).to_bits(),
-            "a burst is exactly k draft steps plus one verify step"
-        );
-        // The whole point: a 4-token burst on a 7B draft costs well under
-        // four target decode steps.
-        assert!(burst < 4.0 * verify);
+    fn scheme(index: u32) -> CompressionScheme {
+        match index % 5 {
+            0 => CompressionScheme::bf16_dense(),
+            1 => CompressionScheme::bf8_dense(),
+            2 => CompressionScheme::bf8_sparse(0.2),
+            3 => CompressionScheme::bf8_sparse(0.05),
+            _ => CompressionScheme::mxfp4(),
+        }
+    }
+
+    fn model(index: u32) -> LlmModel {
+        if index.is_multiple_of(2) {
+            LlmModel::llama2_70b()
+        } else {
+            LlmModel::opt_66b()
+        }
+    }
+
+    fn engine(deca: bool) -> Engine {
+        if deca {
+            Engine::deca_default()
+        } else {
+            Engine::software()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The single-socket estimator reproduces the unsharded
+        /// composition (`single_socket_reference`) bit for bit, for decode
+        /// and prefill, and its interconnect terms are exactly zero.
+        #[test]
+        fn single_socket_plan_is_the_unsharded_estimator(
+            scheme_index in 0u32..5,
+            model_index in 0u32..2,
+            deca in proptest::prop::bool::ANY,
+            batch in 1usize..17,
+            context in 0usize..4096,
+            prompt in 1usize..768,
+        ) {
+            let (scheme, model, engine) = (scheme(scheme_index), model(model_index), engine(deca));
+            let estimator = hbm();
+            let (decode, prefill) = single_socket_reference(
+                &estimator, &model, &scheme, engine, batch, prompt, context,
+            );
+
+            let report = estimator.next_token(&model, &scheme, engine, batch, context);
+            prop_assert_eq!(report.fc_seconds.to_bits(), decode[0].to_bits());
+            prop_assert_eq!(report.attention_seconds.to_bits(), decode[1].to_bits());
+            prop_assert_eq!(report.other_seconds.to_bits(), decode[2].to_bits());
+            prop_assert_eq!(report.allreduce_seconds, 0.0);
+            prop_assert_eq!(report.transfer_seconds, 0.0);
+            prop_assert_eq!(
+                report.total_seconds().to_bits(),
+                (decode[0] + decode[1] + decode[2]).to_bits()
+            );
+
+            let report = estimator.prefill(&model, &scheme, engine, prompt, context);
+            prop_assert_eq!(report.fc_seconds.to_bits(), prefill[0].to_bits());
+            prop_assert_eq!(report.attention_seconds.to_bits(), prefill[1].to_bits());
+            prop_assert_eq!(report.other_seconds.to_bits(), prefill[2].to_bits());
+            prop_assert_eq!(report.comm_seconds(), 0.0);
+            prop_assert_eq!(
+                report.total_seconds().to_bits(),
+                (prefill[0] + prefill[1] + prefill[2]).to_bits()
+            );
+        }
+
+        /// A single-socket plan pays no interconnect, so pricing it over a
+        /// UPI-class link gives the same bits as over a free one.
+        #[test]
+        fn single_socket_plan_ignores_the_interconnect(
+            scheme_index in 0u32..5,
+            model_index in 0u32..2,
+            deca in proptest::prop::bool::ANY,
+            batch in 1usize..17,
+            context in 0usize..4096,
+            prompt in 1usize..768,
+        ) {
+            let (scheme, model, engine) = (scheme(scheme_index), model(model_index), engine(deca));
+            let machine = MachineConfig::spr_hbm();
+            let free = InferenceEstimator::new(machine.clone());
+            let upi = InferenceEstimator::sharded(
+                machine,
+                ShardSpec::single(),
+                InterconnectModel::spr_upi(),
+            );
+            let (a, b) = (
+                free.next_token(&model, &scheme, engine, batch, context),
+                upi.next_token(&model, &scheme, engine, batch, context),
+            );
+            prop_assert_eq!(a.total_seconds().to_bits(), b.total_seconds().to_bits());
+            prop_assert_eq!(a.comm_seconds().to_bits(), b.comm_seconds().to_bits());
+            let (a, b) = (
+                free.prefill(&model, &scheme, engine, prompt, context),
+                upi.prefill(&model, &scheme, engine, prompt, context),
+            );
+            prop_assert_eq!(a.total_seconds().to_bits(), b.total_seconds().to_bits());
+            prop_assert_eq!(a.comm_seconds().to_bits(), b.comm_seconds().to_bits());
+        }
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! * [`LlmModel`] — layer-exact parameter inventories of both models and the
 //!   FC-layer GeMM shapes of one transformer layer,
-//! * [`footprint`] — model memory footprints per compression scheme (which
-//!   schemes fit in 64 GB of HBM),
+//! * [`footprint`] — per-socket memory footprints per compression scheme
+//!   and sharding plan (which schemes fit in 64 GB of HBM, and the KV-token
+//!   budget left on top of the weights),
 //! * [`InferenceEstimator`] — next-token latency estimation: every FC GeMM
 //!   is timed through the compressed-GeMM executor (software or DECA
 //!   engine), and the non-GeMM stages (attention over the KV cache,
@@ -18,11 +19,14 @@
 //!   `ceil(prompt/16)` TMUL operations, so long prompts turn compute-bound.
 //!   Time-to-first-token in the `deca-serve` serving simulator is built on
 //!   this,
-//! * [`parallel`] — multi-socket sharded inference: [`ShardSpec`]
-//!   (tensor/pipeline parallelism), [`InterconnectModel`] (ring all-reduce
-//!   per TP GeMM, point-to-point transfer per pipeline boundary) and
-//!   [`ShardedEstimator`], which makes schemes that overflow one socket's
-//!   HBM servable at TP ≥ 2 and prices the interconnect they pay for it.
+//! * [`parallel`] — multi-socket sharding: [`ShardSpec`] (tensor/pipeline
+//!   parallelism) and [`InterconnectModel`] (ring all-reduce per TP GeMM,
+//!   point-to-point transfer per pipeline boundary).
+//!   [`InferenceEstimator::sharded`] prices any plan with the same
+//!   estimator, which makes schemes that overflow one socket's HBM
+//!   servable at TP ≥ 2 and prices the interconnect they pay for it;
+//!   [`InferenceEstimator::new`] is the single-socket plan, whose
+//!   interconnect terms are exactly zero.
 //!
 //! # Example
 //!
@@ -53,9 +57,7 @@ pub mod parallel;
 
 pub use inference::{DraftSpec, InferenceEstimator, NextTokenReport, PrefillReport};
 pub use model::{LayerGeometry, LlmModel};
-pub use parallel::{
-    InterconnectModel, ShardSpec, ShardedEstimator, ShardedNextTokenReport, ShardedPrefillReport,
-};
+pub use parallel::{InterconnectModel, ShardSpec};
 
 #[cfg(test)]
 mod tests {

@@ -4,10 +4,9 @@
 //! One SPR socket tops out at 64 GB of HBM, and §8's capacity observations
 //! show exactly which Table 4 configurations that excludes (uncompressed
 //! BF16, Q16_50%, dense Q8 — and *any* scheme once the KV working set grows
-//! past the post-weights headroom). This module answers the production
-//! question the single-socket estimator cannot: what does a
-//! (scheme × engine × TP × PP) deployment cost in latency and per-socket
-//! memory?
+//! past the post-weights headroom). This module describes the production
+//! answer: a (scheme × engine × TP × PP) deployment, priced in latency and
+//! per-socket memory.
 //!
 //! * [`ShardSpec`] — Megatron-style sharding: tensor parallelism splits
 //!   every FC GeMM's output dimension (attention heads, KV heads, FFN
@@ -17,20 +16,16 @@
 //! * [`InterconnectModel`] — per-link bandwidth and latency, priced as a
 //!   ring all-reduce per tensor-parallel GeMM and a point-to-point
 //!   activation transfer per pipeline-stage boundary.
-//! * [`ShardedEstimator`] — wraps [`InferenceEstimator`], reusing its exact
-//!   per-tile arithmetic on the per-socket shard shapes, so a
-//!   `TP=1 × PP=1` plan with a zero-cost interconnect reproduces the
-//!   unsharded numbers bit for bit (property-tested).
-//! * [`sharded_max_kv_tokens`] and friends — per-socket weight/KV
-//!   footprints and the fleet-wide KV-token budget under a plan (the
-//!   admission budget `deca-serve` uses for sharded replicas).
+//! * [`InferenceEstimator::sharded`](crate::InferenceEstimator::sharded) — prices a plan with the one
+//!   estimator: the per-socket shard shapes of every pipeline stage run
+//!   through the same per-tile arithmetic, and the collectives are added
+//!   on top. The single-socket estimator is the `TP=1 × PP=1` plan, whose
+//!   interconnect terms are exactly zero.
+//! * [`crate::footprint`] — per-socket weight/KV footprints and the
+//!   fleet-wide KV-token budget under a plan (the admission budget
+//!   `deca-serve` uses for every replica, sharded or not).
 
-use deca_compress::CompressionScheme;
-use deca_kernels::{Engine, GemmShape};
-use deca_roofsurface::MachineConfig;
-
-use crate::footprint::{bytes_per_parameter, HBM_CAPACITY_BYTES};
-use crate::{InferenceEstimator, LayerGeometry, LlmModel};
+use crate::LayerGeometry;
 
 /// How a model is sharded across sockets: `tensor_parallel × pipeline_parallel`
 /// sockets in total.
@@ -93,23 +88,18 @@ impl ShardSpec {
     }
 
     /// Layers per pipeline stage: as even as possible, with the first
-    /// `layers % pp` stages taking one extra (every stage is non-empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model has fewer layers than pipeline stages.
+    /// `layers % pp` stages taking one extra. `None` when a multi-stage
+    /// plan has more stages than the model has layers (every stage of a
+    /// pipeline holds at least one layer); a single stage holds the whole
+    /// model, whatever its size.
     #[must_use]
-    pub fn stage_layers(&self, layers: usize) -> Vec<usize> {
-        assert!(
-            layers >= self.pipeline_parallel,
-            "cannot split {layers} layers into {} pipeline stages",
-            self.pipeline_parallel
-        );
-        let base = layers / self.pipeline_parallel;
-        let extra = layers % self.pipeline_parallel;
-        (0..self.pipeline_parallel)
-            .map(|s| base + usize::from(s < extra))
-            .collect()
+    pub fn stage_layers(&self, layers: usize) -> Option<Vec<usize>> {
+        let pp = self.pipeline_parallel;
+        if pp > layers.max(1) {
+            return None;
+        }
+        let (base, extra) = (layers / pp, layers % pp);
+        Some((0..pp).map(|s| base + usize::from(s < extra)).collect())
     }
 
     /// One socket's share of a layer under tensor parallelism: the Q/KV
@@ -145,8 +135,8 @@ impl std::fmt::Display for ShardSpec {
 }
 
 /// The socket-to-socket interconnect: every link has a bandwidth and a
-/// latency, and the two collective shapes the sharded estimator needs are
-/// priced on top.
+/// latency, and the two collective shapes a sharded plan needs are priced
+/// on top.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterconnectModel {
     /// Usable bandwidth of one socket's links in GB/s.
@@ -157,8 +147,9 @@ pub struct InterconnectModel {
 
 impl InterconnectModel {
     /// A free interconnect (infinite bandwidth, zero latency): sharding
-    /// with this model isolates the pure compute/memory effect, and makes
-    /// the `TP=1 × PP=1` plan reproduce the unsharded estimator exactly.
+    /// with this model isolates the pure compute/memory effect. The
+    /// single-socket estimator runs over it (though a `TP=1 × PP=1` plan
+    /// pays no interconnect over any link).
     #[must_use]
     pub fn zero_cost() -> Self {
         InterconnectModel {
@@ -205,528 +196,53 @@ impl InterconnectModel {
     }
 }
 
-/// Latency breakdown of one generated token under a sharding plan: the
-/// per-socket compute/memory components plus the interconnect cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedNextTokenReport {
-    /// Model name.
-    pub model: String,
-    /// Scheme label.
-    pub scheme: String,
-    /// Engine label.
-    pub engine: String,
-    /// The sharding plan.
-    pub spec: ShardSpec,
-    /// Batch size.
-    pub batch: usize,
-    /// Context length (tokens already in the KV cache).
-    pub context_tokens: usize,
-    /// Seconds in FC-layer GeMMs, summed over the pipeline stages (each
-    /// stage runs its sharded shapes on its own sockets).
-    pub fc_seconds: f64,
-    /// Seconds of KV-cache traffic (per-socket: the KV heads are sharded).
-    pub attention_seconds: f64,
-    /// Seconds of per-layer overhead across all stages.
-    pub other_seconds: f64,
-    /// Seconds of tensor-parallel all-reduces (one per TP GeMM).
-    pub allreduce_seconds: f64,
-    /// Seconds of pipeline-boundary activation transfers.
-    pub transfer_seconds: f64,
-}
-
-impl ShardedNextTokenReport {
-    /// Total next-token latency in seconds (a decode token traverses every
-    /// pipeline stage in sequence).
-    #[must_use]
-    pub fn total_seconds(&self) -> f64 {
-        self.fc_seconds
-            + self.attention_seconds
-            + self.other_seconds
-            + self.allreduce_seconds
-            + self.transfer_seconds
-    }
-
-    /// Total next-token latency in milliseconds.
-    #[must_use]
-    pub fn total_ms(&self) -> f64 {
-        self.total_seconds() * 1e3
-    }
-
-    /// Total interconnect seconds (all-reduce plus stage transfers).
-    #[must_use]
-    pub fn comm_seconds(&self) -> f64 {
-        self.allreduce_seconds + self.transfer_seconds
-    }
-
-    /// Fraction of the token time spent on the interconnect.
-    #[must_use]
-    pub fn comm_fraction(&self) -> f64 {
-        if self.total_seconds() == 0.0 {
-            0.0
-        } else {
-            self.comm_seconds() / self.total_seconds()
-        }
-    }
-
-    /// Tokens per second for the whole batch.
-    #[must_use]
-    pub fn tokens_per_second(&self) -> f64 {
-        if self.total_seconds() == 0.0 {
-            0.0
-        } else {
-            self.batch as f64 / self.total_seconds()
-        }
-    }
-}
-
-/// Latency breakdown of a prefill under a sharding plan (single-microbatch
-/// pipeline: the prompt flows through the stages back to back).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedPrefillReport {
-    /// Model name.
-    pub model: String,
-    /// Scheme label.
-    pub scheme: String,
-    /// Engine label.
-    pub engine: String,
-    /// The sharding plan.
-    pub spec: ShardSpec,
-    /// Prompt tokens processed by this prefill.
-    pub prompt_tokens: usize,
-    /// Tokens already resident in the KV cache before the prefill.
-    pub context_tokens: usize,
-    /// Seconds in FC-layer GeMMs across all stages.
-    pub fc_seconds: f64,
-    /// Seconds of causal-attention KV traffic (per-socket).
-    pub attention_seconds: f64,
-    /// Seconds of per-layer overhead across all stages.
-    pub other_seconds: f64,
-    /// Seconds of tensor-parallel all-reduces.
-    pub allreduce_seconds: f64,
-    /// Seconds of pipeline-boundary activation transfers.
-    pub transfer_seconds: f64,
-}
-
-impl ShardedPrefillReport {
-    /// Total prefill latency in seconds.
-    #[must_use]
-    pub fn total_seconds(&self) -> f64 {
-        self.fc_seconds
-            + self.attention_seconds
-            + self.other_seconds
-            + self.allreduce_seconds
-            + self.transfer_seconds
-    }
-
-    /// Total prefill latency in milliseconds.
-    #[must_use]
-    pub fn total_ms(&self) -> f64 {
-        self.total_seconds() * 1e3
-    }
-
-    /// Total interconnect seconds.
-    #[must_use]
-    pub fn comm_seconds(&self) -> f64 {
-        self.allreduce_seconds + self.transfer_seconds
-    }
-
-    /// Prompt tokens processed per second.
-    #[must_use]
-    pub fn tokens_per_second(&self) -> f64 {
-        if self.total_seconds() == 0.0 {
-            0.0
-        } else {
-            self.prompt_tokens as f64 / self.total_seconds()
-        }
-    }
-}
-
-/// Estimates sharded prefill/decode latencies and per-socket footprints for
-/// any (scheme × engine × TP × PP) deployment point.
-///
-/// The per-tile pricing, KV-traffic and overhead arithmetic is *shared*
-/// with [`InferenceEstimator`] (not re-derived), so the single-socket plan
-/// under a [`InterconnectModel::zero_cost`] interconnect reproduces the
-/// unsharded reports exactly.
-#[derive(Debug, Clone)]
-pub struct ShardedEstimator {
-    inner: InferenceEstimator,
-    spec: ShardSpec,
-    interconnect: InterconnectModel,
-}
-
-impl ShardedEstimator {
-    /// Creates a sharded estimator: every socket is one `machine`.
-    #[must_use]
-    pub fn new(machine: MachineConfig, spec: ShardSpec, interconnect: InterconnectModel) -> Self {
-        ShardedEstimator {
-            inner: InferenceEstimator::new(machine),
-            spec,
-            interconnect,
-        }
-    }
-
-    /// Wraps an existing single-socket estimator.
-    #[must_use]
-    pub fn from_estimator(
-        inner: InferenceEstimator,
-        spec: ShardSpec,
-        interconnect: InterconnectModel,
-    ) -> Self {
-        ShardedEstimator {
-            inner,
-            spec,
-            interconnect,
-        }
-    }
-
-    /// The sharding plan.
-    #[must_use]
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
-    /// The interconnect model.
-    #[must_use]
-    pub fn interconnect(&self) -> InterconnectModel {
-        self.interconnect
-    }
-
-    /// The wrapped single-socket estimator.
-    #[must_use]
-    pub fn inner(&self) -> &InferenceEstimator {
-        &self.inner
-    }
-
-    /// Estimates the latency of generating one token under the plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model has fewer layers than pipeline stages.
-    #[must_use]
-    pub fn next_token(
-        &self,
-        model: &LlmModel,
-        scheme: &CompressionScheme,
-        engine: Engine,
-        batch: usize,
-        context_tokens: usize,
-    ) -> ShardedNextTokenReport {
-        let seconds_per_tile = self.inner.decode_tile_seconds(scheme, engine, batch);
-        let (fc_seconds, attention_seconds, other_seconds) = self.stage_components(
-            model,
-            batch,
-            seconds_per_tile,
-            |estimator, kv_bytes, layers| {
-                estimator.kv_traffic_seconds(kv_bytes, layers, batch, context_tokens)
-            },
-        );
-        ShardedNextTokenReport {
-            model: model.name().to_string(),
-            scheme: scheme.label(),
-            engine: engine.label(),
-            spec: self.spec,
-            batch,
-            context_tokens,
-            fc_seconds,
-            attention_seconds,
-            other_seconds,
-            allreduce_seconds: self.allreduce_seconds(model, batch),
-            transfer_seconds: self.transfer_seconds(model, batch),
-        }
-    }
-
-    /// Estimates the latency of a prefill under the plan (single-microbatch
-    /// pipeline: stages run back to back, so pipeline parallelism reduces
-    /// the per-stage work but not the serial depth).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompt_tokens` is zero or the model has fewer layers than
-    /// pipeline stages.
-    #[must_use]
-    pub fn prefill(
-        &self,
-        model: &LlmModel,
-        scheme: &CompressionScheme,
-        engine: Engine,
-        prompt_tokens: usize,
-        context_tokens: usize,
-    ) -> ShardedPrefillReport {
-        assert!(prompt_tokens > 0, "a prefill processes at least one token");
-        let seconds_per_tile = self
-            .inner
-            .prefill_tile_seconds(scheme, engine, prompt_tokens);
-        let (fc_seconds, attention_seconds, other_seconds) = self.stage_components(
-            model,
-            prompt_tokens,
-            seconds_per_tile,
-            |estimator, kv_bytes, layers| {
-                estimator.prefill_kv_traffic_seconds(
-                    kv_bytes,
-                    layers,
-                    prompt_tokens,
-                    context_tokens,
-                )
-            },
-        );
-        ShardedPrefillReport {
-            model: model.name().to_string(),
-            scheme: scheme.label(),
-            engine: engine.label(),
-            spec: self.spec,
-            prompt_tokens,
-            context_tokens,
-            fc_seconds,
-            attention_seconds,
-            other_seconds,
-            allreduce_seconds: self.allreduce_seconds(model, prompt_tokens),
-            transfer_seconds: self.transfer_seconds(model, prompt_tokens),
-        }
-    }
-
-    /// The per-socket compute/memory components summed over the pipeline
-    /// stages. `rows` is the activation row count of every GeMM (the batch
-    /// for decode, the prompt length for prefill); `kv_traffic` prices one
-    /// stage's KV traffic from its per-token KV bytes and layer count.
-    fn stage_components(
-        &self,
-        model: &LlmModel,
-        rows: usize,
-        seconds_per_tile: f64,
-        kv_traffic: impl Fn(&InferenceEstimator, usize, usize) -> f64,
-    ) -> (f64, f64, f64) {
-        let sharded_layer = self.spec.shard_layer(model.layer());
-        let stage_layers = self.spec.stage_layers(model.layers());
-        let last = stage_layers.len() - 1;
-        let lm_head = GemmShape::new(
-            rows,
-            model.layer().hidden,
-            self.spec.shard_vocab(model.vocab()),
-        );
-
-        let mut fc_seconds = 0.0;
-        let mut attention_seconds = 0.0;
-        let mut other_seconds = 0.0;
-        for (stage, &layers) in stage_layers.iter().enumerate() {
-            let mut shapes = Vec::new();
-            for _ in 0..layers {
-                shapes.extend(sharded_layer.fc_gemms(rows));
-            }
-            if stage == last {
-                shapes.push(lm_head);
-            }
-            fc_seconds += self.inner.fc_seconds_for(&shapes, seconds_per_tile);
-            attention_seconds +=
-                kv_traffic(&self.inner, sharded_layer.kv_bytes_per_token(), layers);
-            other_seconds += InferenceEstimator::overhead_seconds(layers, rows);
-        }
-        (fc_seconds, attention_seconds, other_seconds)
-    }
-
-    /// Tensor-parallel all-reduce time per token step: one ring all-reduce
-    /// of the full output activation (`rows × M` at BF16) per TP GeMM —
-    /// every layer's GeMMs plus the LM head. A slight over-approximation of
-    /// fused Megatron sharding (which folds column/row-parallel pairs into
-    /// two all-reduces per layer), so the sharded model is conservative.
-    fn allreduce_seconds(&self, model: &LlmModel, rows: usize) -> f64 {
-        let tp = self.spec.tensor_parallel;
-        if tp <= 1 {
-            return 0.0;
-        }
-        let per_layer: f64 = model
-            .layer()
-            .fc_gemms(rows)
-            .iter()
-            .map(|shape| {
-                self.interconnect
-                    .all_reduce_seconds((shape.n * shape.m * 2) as f64, tp)
-            })
-            .sum();
-        per_layer * model.layers() as f64
-            + self
-                .interconnect
-                .all_reduce_seconds((rows * model.vocab() * 2) as f64, tp)
-    }
-
-    /// Pipeline-boundary activation transfers: `PP − 1` point-to-point
-    /// sends of the `rows × hidden` BF16 activation.
-    fn transfer_seconds(&self, model: &LlmModel, rows: usize) -> f64 {
-        let pp = self.spec.pipeline_parallel;
-        if pp <= 1 {
-            return 0.0;
-        }
-        (pp - 1) as f64
-            * self
-                .interconnect
-                .point_to_point_seconds((rows * model.layer().hidden * 2) as f64)
-    }
-}
-
-/// Weight bytes resident on the *worst-loaded* socket under a plan: each
-/// pipeline stage holds its layers' FC weights divided `TP` ways, the last
-/// stage adds the sharded LM head, and stage 0 carries the (unsharded,
-/// BF16) embedding table.
-#[must_use]
-pub fn sharded_weight_bytes_per_socket(
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    spec: &ShardSpec,
-) -> f64 {
-    stage_weight_bytes(model, scheme, spec)
-        .into_iter()
-        .fold(0.0, f64::max)
-}
-
-/// HBM left for the KV cache on the *tightest* socket under a plan.
-/// Negative when some socket's weight shard alone overflows the 64 GB.
-#[must_use]
-pub fn sharded_hbm_headroom_bytes(
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    spec: &ShardSpec,
-) -> f64 {
-    stage_weight_bytes(model, scheme, spec)
-        .into_iter()
-        .map(|bytes| HBM_CAPACITY_BYTES as f64 - bytes)
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// The fleet-wide KV-token budget under a plan: a resident token stores
-/// sharded KV on *every* stage's sockets, so the budget is the minimum over
-/// stages of `stage headroom / stage per-token KV bytes`. `None` when some
-/// socket's weight shard does not fit, or when a degenerate model has zero
-/// per-token KV cost on a stage (mirroring
-/// [`crate::footprint::max_kv_tokens`]).
-#[must_use]
-pub fn sharded_max_kv_tokens(
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    spec: &ShardSpec,
-) -> Option<u64> {
-    let sharded_layer = spec.shard_layer(model.layer());
-    let stage_layers = spec.stage_layers(model.layers());
-    let mut budget = u64::MAX;
-    for (bytes, &layers) in stage_weight_bytes(model, scheme, spec)
-        .into_iter()
-        .zip(&stage_layers)
-    {
-        let headroom = HBM_CAPACITY_BYTES as f64 - bytes;
-        if headroom < 0.0 {
-            return None;
-        }
-        let per_token = (layers * sharded_layer.kv_bytes_per_token()) as f64;
-        if per_token <= 0.0 {
-            return None;
-        }
-        budget = budget.min((headroom / per_token) as u64);
-    }
-    Some(budget)
-}
-
-/// The fleet-wide KV-cache *block* budget under a plan (the paged
-/// allocator's pool size for a sharded replica): the sharded token budget
-/// in whole blocks of `block_size` tokens, rounded down. `None` exactly
-/// when [`sharded_max_kv_tokens`] is `None`.
-///
-/// # Panics
-///
-/// Panics if `block_size` is zero.
-#[must_use]
-pub fn sharded_max_kv_blocks(
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    spec: &ShardSpec,
-    block_size: usize,
-) -> Option<u64> {
-    assert!(block_size > 0, "block size must be positive");
-    sharded_max_kv_tokens(model, scheme, spec).map(|tokens| tokens / block_size as u64)
-}
-
-/// Whether the weight shards *and* the sharded KV cache of `batch`
-/// sequences at `context_tokens` fit on every socket of the plan.
-#[must_use]
-pub fn sharded_fits_in_hbm_with_kv(
-    model: &LlmModel,
-    scheme: &CompressionScheme,
-    spec: &ShardSpec,
-    context_tokens: usize,
-    batch: usize,
-) -> bool {
-    let sharded_layer = spec.shard_layer(model.layer());
-    let stage_layers = spec.stage_layers(model.layers());
-    stage_weight_bytes(model, scheme, spec)
-        .into_iter()
-        .zip(&stage_layers)
-        .all(|(bytes, &layers)| {
-            let kv = (layers * sharded_layer.kv_bytes_per_token() * context_tokens * batch) as f64;
-            kv <= HBM_CAPACITY_BYTES as f64 - bytes
-        })
-}
-
-/// Per-stage worst-socket weight bytes (FC shard + LM-head shard on the
-/// last stage + embeddings on stage 0).
-fn stage_weight_bytes(model: &LlmModel, scheme: &CompressionScheme, spec: &ShardSpec) -> Vec<f64> {
-    let sharded_layer = spec.shard_layer(model.layer());
-    let stage_layers = spec.stage_layers(model.layers());
-    let last = stage_layers.len() - 1;
-    let embedding_bytes = (model.total_params() - model.fc_params()) as f64 * 2.0;
-    stage_layers
-        .iter()
-        .enumerate()
-        .map(|(stage, &layers)| {
-            let mut params = layers * sharded_layer.fc_params();
-            if stage == last {
-                params += model.layer().hidden * spec.shard_vocab(model.vocab());
-            }
-            let mut bytes = params as f64 * bytes_per_parameter(scheme);
-            if stage == 0 {
-                bytes += embedding_bytes;
-            }
-            bytes
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::footprint;
+    use crate::footprint::{self, fits_in_hbm_with_kv, max_kv_blocks, max_kv_tokens};
+    use crate::inference::single_socket_reference;
+    use crate::{InferenceEstimator, LlmModel};
+    use deca_compress::CompressionScheme;
+    use deca_kernels::Engine;
+    use deca_roofsurface::MachineConfig;
 
-    fn hbm_sharded(spec: ShardSpec) -> ShardedEstimator {
-        ShardedEstimator::new(MachineConfig::spr_hbm(), spec, InterconnectModel::spr_upi())
+    fn hbm_sharded(spec: ShardSpec) -> InferenceEstimator {
+        InferenceEstimator::sharded(MachineConfig::spr_hbm(), spec, InterconnectModel::spr_upi())
+    }
+
+    fn weights(model: &LlmModel, scheme: &CompressionScheme, spec: &ShardSpec) -> f64 {
+        footprint::weight_bytes_per_socket(model, scheme, spec).expect("plan splits the model")
     }
 
     #[test]
     fn single_socket_zero_cost_plan_is_bit_identical_to_the_unsharded_estimator() {
-        let machine = MachineConfig::spr_hbm();
-        let unsharded = InferenceEstimator::new(machine.clone());
-        let sharded =
-            ShardedEstimator::new(machine, ShardSpec::single(), InterconnectModel::zero_cost());
+        let sharded = InferenceEstimator::sharded(
+            MachineConfig::spr_hbm(),
+            ShardSpec::single(),
+            InterconnectModel::zero_cost(),
+        );
         let model = LlmModel::llama2_70b();
+        let engine = Engine::deca_default();
         for scheme in [
             CompressionScheme::bf16_dense(),
             CompressionScheme::bf8_sparse(0.05),
         ] {
-            let base = unsharded.next_token(&model, &scheme, Engine::deca_default(), 4, 512);
-            let shard = sharded.next_token(&model, &scheme, Engine::deca_default(), 4, 512);
-            assert_eq!(shard.fc_seconds.to_bits(), base.fc_seconds.to_bits());
-            assert_eq!(
-                shard.attention_seconds.to_bits(),
-                base.attention_seconds.to_bits()
-            );
-            assert_eq!(shard.other_seconds.to_bits(), base.other_seconds.to_bits());
+            let (decode, prefill) =
+                single_socket_reference(&sharded, &model, &scheme, engine, 4, 384, 512);
+            let shard = sharded.next_token(&model, &scheme, engine, 4, 512);
+            assert_eq!(shard.fc_seconds.to_bits(), decode[0].to_bits());
+            assert_eq!(shard.attention_seconds.to_bits(), decode[1].to_bits());
+            assert_eq!(shard.other_seconds.to_bits(), decode[2].to_bits());
             assert_eq!(
                 shard.total_seconds().to_bits(),
-                base.total_seconds().to_bits()
+                decode.iter().sum::<f64>().to_bits()
             );
             assert_eq!(shard.comm_seconds(), 0.0);
 
-            let base_p = unsharded.prefill(&model, &scheme, Engine::deca_default(), 384, 0);
-            let shard_p = sharded.prefill(&model, &scheme, Engine::deca_default(), 384, 0);
+            let shard_p = sharded.prefill(&model, &scheme, engine, 384, 512);
             assert_eq!(
                 shard_p.total_seconds().to_bits(),
-                base_p.total_seconds().to_bits()
+                prefill.iter().sum::<f64>().to_bits()
             );
         }
     }
@@ -736,21 +252,15 @@ mod tests {
         let model = LlmModel::llama2_70b();
         let q8 = CompressionScheme::bf8_dense();
         // Dense Q8 does not fit one socket: no tokens, no blocks.
-        assert_eq!(
-            sharded_max_kv_blocks(&model, &q8, &ShardSpec::single(), 16),
-            None
-        );
+        assert_eq!(max_kv_blocks(&model, &q8, &ShardSpec::single(), 16), None);
         let tp2 = ShardSpec::tp(2);
-        let tokens = sharded_max_kv_tokens(&model, &q8, &tp2).expect("TP2 fits");
-        assert_eq!(
-            sharded_max_kv_blocks(&model, &q8, &tp2, 16),
-            Some(tokens / 16)
-        );
-        // Single socket + block size 1 reduces to the unsharded token budget.
+        let tokens = max_kv_tokens(&model, &q8, &tp2).expect("TP2 fits");
+        assert_eq!(max_kv_blocks(&model, &q8, &tp2, 16), Some(tokens / 16));
+        // Block size 1 reduces to the token budget.
         let q8_5 = CompressionScheme::bf8_sparse(0.05);
         assert_eq!(
-            sharded_max_kv_blocks(&model, &q8_5, &ShardSpec::single(), 1),
-            footprint::max_kv_tokens(&model, &q8_5)
+            max_kv_blocks(&model, &q8_5, &ShardSpec::single(), 1),
+            max_kv_tokens(&model, &q8_5, &ShardSpec::single())
         );
     }
 
@@ -770,18 +280,21 @@ mod tests {
         assert!(shard.comm_seconds() > 0.0);
         assert!(shard.total_seconds() < base.total_seconds());
 
-        let w1 = sharded_weight_bytes_per_socket(&model, &scheme, &ShardSpec::single());
-        let w4 = sharded_weight_bytes_per_socket(&model, &scheme, &ShardSpec::tp(4));
+        let w1 = weights(&model, &scheme, &ShardSpec::single());
+        let w4 = weights(&model, &scheme, &ShardSpec::tp(4));
         assert!(w4 < 0.3 * w1, "TP4 per-socket weights {w4:.2e} vs {w1:.2e}");
     }
 
     #[test]
     fn pipeline_stages_partition_the_layers() {
         let spec = ShardSpec::pp(3);
-        let stages = spec.stage_layers(80);
+        let stages = spec.stage_layers(80).expect("80 layers split 3 ways");
         assert_eq!(stages.iter().sum::<usize>(), 80);
         assert_eq!(stages, vec![27, 27, 26]);
-        assert_eq!(ShardSpec::pp(1).stage_layers(80), vec![80]);
+        assert_eq!(ShardSpec::pp(1).stage_layers(80), Some(vec![80]));
+        // More stages than layers is not a plan; one stage always is.
+        assert_eq!(ShardSpec::pp(81).stage_layers(80), None);
+        assert_eq!(ShardSpec::single().stage_layers(0), Some(vec![0]));
     }
 
     #[test]
@@ -790,38 +303,26 @@ mod tests {
         // tensor parallelism halves the shard and restores a KV budget.
         let model = LlmModel::llama2_70b();
         let q8 = CompressionScheme::bf8_dense();
-        assert_eq!(footprint::max_kv_tokens(&model, &q8), None);
-        assert_eq!(
-            sharded_max_kv_tokens(&model, &q8, &ShardSpec::single()),
-            None
-        );
-        let budget =
-            sharded_max_kv_tokens(&model, &q8, &ShardSpec::tp(2)).expect("Q8 dense fits at TP2");
+        assert_eq!(max_kv_tokens(&model, &q8, &ShardSpec::single()), None);
+        let budget = max_kv_tokens(&model, &q8, &ShardSpec::tp(2)).expect("Q8 dense fits at TP2");
         assert!(budget > 50_000, "budget {budget}");
-        assert!(sharded_fits_in_hbm_with_kv(
-            &model,
-            &q8,
-            &ShardSpec::tp(2),
-            4096,
-            4
-        ));
+        assert!(fits_in_hbm_with_kv(&model, &q8, &ShardSpec::tp(2), 4096, 4));
     }
 
     #[test]
     fn sharded_footprint_reduces_to_the_unsharded_one_on_a_single_socket() {
+        // On one socket the per-socket weights are the §8 whole-model
+        // footprint: every FC weight (LM head included) compressed, plus
+        // the BF16 embedding table.
         let model = LlmModel::llama2_70b();
         for scheme in [
             CompressionScheme::bf8_sparse(0.05),
             CompressionScheme::mxfp4(),
         ] {
-            let spec = ShardSpec::single();
-            let sharded = sharded_weight_bytes_per_socket(&model, &scheme, &spec);
-            let unsharded = footprint::model_footprint_bytes(&model, &scheme);
-            assert_eq!(sharded.to_bits(), unsharded.to_bits());
-            assert_eq!(
-                sharded_max_kv_tokens(&model, &scheme, &spec),
-                footprint::max_kv_tokens(&model, &scheme)
-            );
+            let whole_model = model.fc_params() as f64 * footprint::bytes_per_parameter(&scheme)
+                + (model.total_params() - model.fc_params()) as f64 * 2.0;
+            let single = weights(&model, &scheme, &ShardSpec::single());
+            assert_eq!(single.to_bits(), whole_model.to_bits());
         }
     }
 
@@ -855,8 +356,8 @@ mod tests {
         assert!(deep.transfer_seconds > 0.0);
         assert!(deep.fc_seconds >= 0.99 * base.fc_seconds);
         // ...but it does split the per-socket weights.
-        let w1 = sharded_weight_bytes_per_socket(&model, &scheme, &ShardSpec::single());
-        let w4 = sharded_weight_bytes_per_socket(&model, &scheme, &ShardSpec::pp(4));
+        let w1 = weights(&model, &scheme, &ShardSpec::single());
+        let w4 = weights(&model, &scheme, &ShardSpec::pp(4));
         assert!(w4 < 0.4 * w1);
     }
 

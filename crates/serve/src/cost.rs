@@ -10,8 +10,8 @@
 //! unchunked step prices exactly as before; chunked prefill
 //! (Sarathi-style) and speculative decoding are scheduler policy layered
 //! on the same primitives. The production implementation drives
-//! [`ShardedEstimator`] (and therefore [`deca_llm::InferenceEstimator`]
-//! and the whole compressed-GeMM simulation stack underneath), for
+//! [`InferenceEstimator`] (and therefore the whole compressed-GeMM
+//! simulation stack underneath) under the replica's sharding plan, for
 //! single-socket replicas and TP/PP sharded ones alike; a linear model
 //! exists for fast property tests and analytical what-ifs.
 
@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
-use deca_llm::{DraftSpec, InterconnectModel, LlmModel, ShardSpec, ShardedEstimator};
+use deca_llm::{DraftSpec, InferenceEstimator, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 
 /// One prefill chunk inside a batch step: `suffix_tokens` prompt tokens
@@ -197,20 +197,20 @@ fn memo_insert<K: std::hash::Hash + Eq>(cache: &mut HashMap<K, f64>, key: K, sec
     }
 }
 
-/// The production cost model: every answer comes from the sharded
-/// estimator (`deca_llm::parallel`) — decode steps from
-/// [`ShardedEstimator::next_token`], prefills from
-/// [`ShardedEstimator::prefill`] — memoized per bucketed shape. Bucketing
+/// The production cost model: every answer comes from the replica's
+/// [`InferenceEstimator`] — decode steps from
+/// [`InferenceEstimator::next_token`], prefills from
+/// [`InferenceEstimator::prefill`] — memoized per bucketed shape. Bucketing
 /// rounds *up*, so the model is conservative — a simulated server is never
 /// faster than the estimator says.
 ///
-/// [`EstimatorCostModel::new`] builds the single-socket view; because a
-/// `TP=1 × PP=1` plan over a zero-cost interconnect reproduces
-/// [`deca_llm::InferenceEstimator`] bit for bit, the unsharded serving
-/// numbers are unchanged by the sharding axis.
+/// [`EstimatorCostModel::new`] builds the single-socket replica
+/// ([`InferenceEstimator::new`]: the `TP=1 × PP=1` plan, whose
+/// interconnect terms are exactly zero); [`EstimatorCostModel::sharded`]
+/// builds a TP/PP replica over the same estimator.
 #[derive(Debug, Clone)]
 pub struct EstimatorCostModel {
-    estimator: ShardedEstimator,
+    estimator: InferenceEstimator,
     model: LlmModel,
     scheme: CompressionScheme,
     engine: Engine,
@@ -258,7 +258,7 @@ impl EstimatorCostModel {
         interconnect: InterconnectModel,
     ) -> Self {
         EstimatorCostModel {
-            estimator: ShardedEstimator::new(machine, spec, interconnect),
+            estimator: InferenceEstimator::sharded(machine, spec, interconnect),
             model,
             scheme,
             engine,

@@ -6,7 +6,7 @@
 
 use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
-use deca_llm::{footprint, parallel, InterconnectModel, LlmModel, ShardSpec};
+use deca_llm::{footprint, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 
 use crate::cost::{DecodePoolCostModel, EstimatorCostModel, ServingCostModel};
@@ -22,21 +22,21 @@ use crate::workload::{Request, RequestTrace, WorkloadSpec};
 /// capacity).
 #[must_use]
 pub fn hbm_kv_budget_tokens(model: &LlmModel, scheme: &CompressionScheme) -> Option<usize> {
-    footprint::max_kv_tokens(model, scheme).map(|tokens| tokens as usize)
+    sharded_kv_budget_tokens(model, scheme, &ShardSpec::single())
 }
 
 /// The KV budget (tokens) of one *sharded* replica — the minimum over
 /// pipeline stages of the post-weights headroom divided by the per-token
 /// sharded KV cost — or `None` when some socket's weight shard does not
-/// fit. With [`ShardSpec::single`] this is exactly
-/// [`hbm_kv_budget_tokens`].
+/// fit or the plan has more pipeline stages than the model has layers.
+/// With [`ShardSpec::single`] this is exactly [`hbm_kv_budget_tokens`].
 #[must_use]
 pub fn sharded_kv_budget_tokens(
     model: &LlmModel,
     scheme: &CompressionScheme,
     spec: &ShardSpec,
 ) -> Option<usize> {
-    parallel::sharded_max_kv_tokens(model, scheme, spec).map(|tokens| tokens as usize)
+    footprint::max_kv_tokens(model, scheme, spec).map(|tokens| tokens as usize)
 }
 
 /// What a sharding sweep demands of every candidate plan: hold a KV
@@ -61,7 +61,8 @@ pub struct ShardingSearchSpec {
 pub struct ShardingPlanResult {
     /// The plan.
     pub spec: ShardSpec,
-    /// The plan's sharded KV budget (`None`: weights don't fit).
+    /// The plan's sharded KV budget (`None`: weights don't fit, or the plan
+    /// has more pipeline stages than the model has layers).
     pub kv_budget_tokens: Option<usize>,
     /// Whether the plan fits the weights *and* the required KV working set
     /// (only servable plans are simulated).
@@ -1238,6 +1239,31 @@ mod tests {
         .expect("some plan is feasible");
         assert!(min.spec.sockets() >= 2, "Q8 dense needs sharding");
         assert!(min.feasible && min.p99_ttft_s > 0.0);
+    }
+
+    /// Regression: a plan with more pipeline stages than the model has
+    /// layers used to panic in the sweep's budget check; it is now an
+    /// unservable row.
+    #[test]
+    fn sharding_sweep_marks_plans_deeper_than_the_model_unservable() {
+        let search = ShardingSearchSpec {
+            slo: SloTarget::interactive(),
+            workload: WorkloadSpec::chat(0.4, 4, 11),
+            max_batch: 8,
+            required_kv_tokens: 1,
+        };
+        let results = sharding_sweep(
+            &MachineConfig::spr_hbm(),
+            &LlmModel::llama2_70b(),
+            &CompressionScheme::bf8_sparse(0.05),
+            Engine::deca_default(),
+            InterconnectModel::spr_upi(),
+            &[ShardSpec::pp(81)],
+            &search,
+        );
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].kv_budget_tokens, None);
+        assert!(!results[0].servable && !results[0].feasible);
     }
 
     #[test]

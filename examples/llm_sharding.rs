@@ -12,7 +12,7 @@
 
 use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
-use deca_llm::{parallel, InterconnectModel, LlmModel, ShardSpec, ShardedEstimator};
+use deca_llm::{footprint, InferenceEstimator, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 use deca_serve::{
     sharding_sweep, ArrivalProcess, LengthDistribution, ShardingSearchSpec, SloTarget, WorkloadSpec,
@@ -40,11 +40,12 @@ fn footprint_table(model: &LlmModel, schemes: &[CompressionScheme]) {
     );
     for scheme in schemes {
         for spec in plans() {
-            let weights_gb = parallel::sharded_weight_bytes_per_socket(model, scheme, &spec) / 1e9;
-            let budget = parallel::sharded_max_kv_tokens(model, scheme, &spec)
-                .map_or("weights don't fit".to_string(), |t| format!("{t} tok"));
-            let holds = parallel::sharded_max_kv_tokens(model, scheme, &spec)
-                .is_some_and(|t| t as usize >= WORKING_SET_TOKENS);
+            let weights_gb = footprint::weight_bytes_per_socket(model, scheme, &spec)
+                .expect("every plan here splits the model")
+                / 1e9;
+            let tokens = footprint::max_kv_tokens(model, scheme, &spec);
+            let budget = tokens.map_or("weights don't fit".to_string(), |t| format!("{t} tok"));
+            let holds = tokens.is_some_and(|t| t as usize >= WORKING_SET_TOKENS);
             println!(
                 "{:<8} {weights_gb:>12.1}GB {budget:>16}  {spec}{}",
                 scheme.label(),
@@ -66,7 +67,8 @@ fn tp_scaling_curve(machine: &MachineConfig, model: &LlmModel, scheme: &Compress
         "plan", "software", "DECA", "comm%"
     );
     for spec in plans() {
-        let estimator = ShardedEstimator::new(machine.clone(), spec, InterconnectModel::spr_upi());
+        let estimator =
+            InferenceEstimator::sharded(machine.clone(), spec, InterconnectModel::spr_upi());
         let sw = estimator.next_token(model, scheme, Engine::software(), MAX_BATCH, 8192);
         let deca = estimator.next_token(model, scheme, Engine::deca_default(), MAX_BATCH, 8192);
         println!(

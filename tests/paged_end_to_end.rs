@@ -10,7 +10,7 @@
 
 use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
-use deca_llm::{footprint, parallel, InterconnectModel, LlmModel, ShardSpec};
+use deca_llm::{footprint, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 use deca_serve::{
     hbm_kv_budget_tokens, EstimatorCostModel, ServingConfig, ServingSimulator,
@@ -42,19 +42,17 @@ fn serve(config: ServingConfig, trace: &deca_serve::RequestTrace) -> deca_serve:
     ServingSimulator::new(cost, config).run(trace)
 }
 
-/// The paged block pool is exactly the footprint crate's token budget in
-/// whole blocks, for the single-socket and the sharded view alike.
+/// The paged block pool is exactly the footprint crate's single-socket
+/// token budget in whole blocks.
 #[test]
 fn block_pool_derives_from_the_footprint_headroom() {
     let model = LlmModel::llama2_70b();
     let scheme = served_scheme();
-    let tokens = footprint::max_kv_tokens(&model, &scheme).expect("Q8_5% fits");
-    let blocks = footprint::max_kv_blocks(&model, &scheme, BLOCK_SIZE).expect("Q8_5% fits");
+    let single = ShardSpec::single();
+    let tokens = footprint::max_kv_tokens(&model, &scheme, &single).expect("Q8_5% fits");
+    let blocks =
+        footprint::max_kv_blocks(&model, &scheme, &single, BLOCK_SIZE).expect("Q8_5% fits");
     assert_eq!(blocks, tokens / BLOCK_SIZE as u64);
-    assert_eq!(
-        parallel::sharded_max_kv_blocks(&model, &scheme, &ShardSpec::single(), BLOCK_SIZE),
-        Some(blocks)
-    );
 
     let budget = hbm_kv_budget_tokens(&model, &scheme).expect("fits");
     let config = ServingConfig::paged(MAX_BATCH, budget, BLOCK_SIZE);
@@ -139,10 +137,8 @@ fn paged_serving_composes_with_tensor_parallel_sharding() {
     let scheme = served_scheme();
     let tp2 = ShardSpec::tp(2);
     let single_blocks =
-        parallel::sharded_max_kv_blocks(&model, &scheme, &ShardSpec::single(), BLOCK_SIZE)
-            .expect("fits");
-    let tp2_blocks =
-        parallel::sharded_max_kv_blocks(&model, &scheme, &tp2, BLOCK_SIZE).expect("fits");
+        footprint::max_kv_blocks(&model, &scheme, &ShardSpec::single(), BLOCK_SIZE).expect("fits");
+    let tp2_blocks = footprint::max_kv_blocks(&model, &scheme, &tp2, BLOCK_SIZE).expect("fits");
     assert!(
         tp2_blocks > single_blocks,
         "sharded weights leave more room"

@@ -1,13 +1,13 @@
-//! End-to-end test of the sharding layer: `deca_llm::parallel` driving the
-//! full serving stack through `deca-serve`'s sharded cost model — no linear
-//! stand-ins. The scenario is the ROADMAP's production one: a Table 4
+//! End-to-end test of the sharding layer: a `deca_llm::parallel` plan
+//! priced by the one `InferenceEstimator`, driving the full serving stack
+//! through `deca-serve`'s sharded cost model — no linear stand-ins. The scenario is the ROADMAP's production one: a Table 4
 //! scheme that one socket cannot serve (dense Q8's weights overflow 64 GB;
 //! Q4's weights fit but its KV working set does not) becomes servable at
 //! TP ≥ 2, with the interconnect priced in.
 
 use deca_compress::CompressionScheme;
 use deca_kernels::Engine;
-use deca_llm::{footprint, parallel, InterconnectModel, LlmModel, ShardSpec, ShardedEstimator};
+use deca_llm::{footprint, InferenceEstimator, InterconnectModel, LlmModel, ShardSpec};
 use deca_roofsurface::MachineConfig;
 use deca_serve::{
     min_sockets_for_slo, sharded_kv_budget_tokens, ArrivalProcess, EstimatorCostModel,
@@ -40,12 +40,10 @@ fn unservable_scheme_serves_at_tp2() {
 
     // One socket: the weights alone overflow (the §8 capacity observation),
     // so there is no budget to admit against.
-    assert!(!footprint::fits_in_hbm(&model, &q8));
-    assert_eq!(footprint::max_kv_tokens(&model, &q8), None);
-    assert_eq!(
-        sharded_kv_budget_tokens(&model, &q8, &ShardSpec::single()),
-        None
-    );
+    let single = ShardSpec::single();
+    assert!(!footprint::fits_in_hbm(&model, &q8, &single));
+    assert_eq!(footprint::max_kv_tokens(&model, &q8, &single), None);
+    assert_eq!(sharded_kv_budget_tokens(&model, &q8, &single), None);
 
     // TP2: every socket holds half the output features; the budget exists
     // and a real trace drains against it.
@@ -68,7 +66,7 @@ fn unservable_scheme_serves_at_tp2() {
 
     // TTFT is real: nothing undercuts the sharded prefill of its own
     // prompt (queueing and batching only ever add).
-    let estimator = ShardedEstimator::new(machine, spec, InterconnectModel::spr_upi());
+    let estimator = InferenceEstimator::sharded(machine, spec, InterconnectModel::spr_upi());
     for record in &report.records {
         let floor = estimator
             .prefill(&model, &q8, Engine::deca_default(), record.prompt_tokens, 0)
@@ -131,16 +129,12 @@ fn q4_working_set_needs_sharding_and_deca_serves_it() {
 
     // The one-socket contradiction: weights fit, weights + working set
     // don't.
-    assert!(footprint::fits_in_hbm(&model, &q4));
-    assert!(!footprint::fits_in_hbm_with_kv(&model, &q4, 8192, 16));
-    assert!(!parallel::sharded_fits_in_hbm_with_kv(
-        &model,
-        &q4,
-        &ShardSpec::single(),
-        8192,
-        16
+    let single = ShardSpec::single();
+    assert!(footprint::fits_in_hbm(&model, &q4, &single));
+    assert!(!footprint::fits_in_hbm_with_kv(
+        &model, &q4, &single, 8192, 16
     ));
-    assert!(parallel::sharded_fits_in_hbm_with_kv(
+    assert!(footprint::fits_in_hbm_with_kv(
         &model,
         &q4,
         &ShardSpec::tp(2),
