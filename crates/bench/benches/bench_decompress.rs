@@ -120,10 +120,13 @@ fn bench_engines_matrix(c: &mut Criterion) {
 }
 
 /// SIMD-focused group: the AVX2 path against its forced portable fallback
-/// and the word-parallel incumbent, per scheme family, so a vector-path
-/// regression shows next to the backend that would overtake it.
+/// and the word-parallel incumbent, per scheme family (8-bit gathers,
+/// dense and sparse 4-bit nibble shuffles, float and integer 4-bit codes),
+/// so a vector-path regression shows next to the backend that would
+/// overtake it.
 fn bench_engine_simd(c: &mut Criterion) {
     use deca_compress::{DecompressEngine, SimdEngine, WordParallelEngine};
+    use deca_numerics::{mx::MX_GROUP_SIZE, QuantFormat};
 
     let mut group = c.benchmark_group("engine_simd");
     let tile = WeightGenerator::new(46).dense_matrix(16, 32).tile(0, 0);
@@ -136,6 +139,8 @@ fn bench_engine_simd(c: &mut Criterion) {
         CompressionScheme::bf8_dense(),
         CompressionScheme::bf8_sparse(0.5),
         CompressionScheme::mxfp4(),
+        CompressionScheme::mxfp4_sparse(0.5),
+        CompressionScheme::new(QuantFormat::Int4, 1.0, Some(MX_GROUP_SIZE)).expect("valid scheme"),
     ] {
         let compressed = Compressor::new(scheme)
             .compress_tile(&tile)

@@ -6,7 +6,7 @@
 //! formats), and packed into the three per-tile memory structures (nonzero
 //! array, bitmask, scale factors).
 
-use deca_numerics::{mx::ScaleE8M0, Bf16, IntCodec, QuantFormat};
+use deca_numerics::{mx::ScaleE8M0, Bf16, IntCodec, Minifloat, QuantFormat};
 
 use crate::{
     tile::pack_codes, Bitmask, CompressError, CompressedMatrix, CompressedTile, CompressionScheme,
@@ -27,6 +27,9 @@ use crate::{
 pub struct Compressor {
     scheme: CompressionScheme,
     prune_to_density: bool,
+    /// The element codec of minifloat formats, built once: constructing a
+    /// `Minifloat` enumerates and sorts every code.
+    minifloat: Option<Minifloat>,
 }
 
 impl Compressor {
@@ -38,6 +41,7 @@ impl Compressor {
         Compressor {
             scheme,
             prune_to_density: true,
+            minifloat: scheme.format().minifloat(),
         }
     }
 
@@ -91,8 +95,9 @@ impl Compressor {
         let element_emax = match self.scheme.format() {
             QuantFormat::Int8 => 7, // max code 127 < 2^7
             QuantFormat::Int4 => 3, // max code 7 < 2^3
-            fmt => fmt
-                .minifloat()
+            _ => self
+                .minifloat
+                .as_ref()
                 .map_or(0, |mf| mf.max_value().log2().floor() as i32),
         };
         values
@@ -119,9 +124,10 @@ impl Compressor {
             QuantFormat::Int4 => {
                 u16::from(IntCodec::int4().to_storage((scaled.round().clamp(-7.0, 7.0)) as i8))
             }
-            fmt => {
-                let mf = fmt
-                    .minifloat()
+            _ => {
+                let mf = self
+                    .minifloat
+                    .as_ref()
                     .expect("all non-BF16 float formats have a minifloat codec");
                 u16::from(mf.encode(scaled))
             }

@@ -32,13 +32,16 @@
 //!   LUT array instead of re-deriving tables. On very sparse tiles (Q8_5%),
 //!   where few nonzeros leave little to vectorize, it runs level with
 //!   [`SimdEngine`] and sometimes ahead of it.
-//! * [`SimdEngine`] — explicit vectorization of the same datapath:
-//!   LUT dequantization as 8-lane gathers, sparse expansion as one
-//!   byte-shuffle per 8 mask bits, and the MX scale multiply as 8-lane f32
-//!   FMA-free multiplies rounded back to BF16 in the integer domain. The
-//!   software analogue of giving the decompress pipeline real SIMD lanes
-//!   instead of one ALU; the fastest backend on denser and group-scaled
-//!   schemes.
+//! * [`SimdEngine`] — explicit vectorization of the same datapath. 4-bit
+//!   LUT formats (MXFP4's E2M1, `Int4`, 4-bit `Custom`) run the paper's
+//!   software MXFP4 recipe (§3): split the packed payload's nibbles and
+//!   look each one up with one byte-shuffle per BF16 byte plane; wider LUT
+//!   formats dequantize through 8-lane gathers. Sparse expansion is one
+//!   byte-shuffle per 8 mask bits. The E8M0 group scale is an exponent add
+//!   when every scaled value stays a normal BF16, and otherwise an 8-lane
+//!   f32 multiply rounded back to BF16 in the integer domain. The software
+//!   analogue of giving the decompress pipeline real SIMD lanes instead of
+//!   one ALU; the fastest backend on denser and group-scaled schemes.
 //!
 //! # Feature detection and the fallback contract
 //!
@@ -189,7 +192,10 @@ impl DecompressScratch {
         DecompressScratch::default()
     }
 
-    /// The codes unpacked by the most recent tile decompression.
+    /// The codes most recently unpacked into this scratch (by
+    /// [`DecompressScratch::unpack`] or by a backend that works on unpacked
+    /// codes; the SIMD engine's 4-bit path reads the packed payload
+    /// directly and leaves this buffer untouched).
     #[must_use]
     pub fn codes(&self) -> &[u16] {
         &self.codes
@@ -308,18 +314,16 @@ struct TilePlan<'a> {
 }
 
 /// Validates a tile's three memory structures (§5.2) via
-/// [`CompressedTile::validate`], unpacks its codes into scratch, and
-/// returns the dequantization plan shared by all backends — a corrupted
-/// weight stream must fault here, never index out of bounds or silently
-/// decompress unscaled.
+/// [`CompressedTile::validate`] and returns the dequantization plan shared
+/// by all backends — a corrupted weight stream must fault here, never index
+/// out of bounds or silently decompress unscaled. Backends that work on
+/// unpacked codes unpack them into scratch themselves after this check.
 fn prepare<'a>(
     luts: &'a FormatLuts,
     tile: &'a CompressedTile,
-    scratch: &mut DecompressScratch,
 ) -> Result<TilePlan<'a>, CompressError> {
     tile.validate()?;
     let scheme = tile.scheme();
-    tile.unpack_nonzeros_into(&mut scratch.codes);
     Ok(TilePlan {
         table: luts.table(scheme.format()),
         group: scheme.group_size().unwrap_or(usize::MAX),
@@ -358,7 +362,8 @@ impl DecompressEngine for ScalarEngine {
         scratch: &mut DecompressScratch,
         out: &mut DenseTile,
     ) -> Result<(), CompressError> {
-        let plan = prepare(self.luts(), tile, scratch)?;
+        let plan = prepare(self.luts(), tile)?;
+        tile.unpack_nonzeros_into(&mut scratch.codes);
         let value_of = |code: u16| match plan.table {
             Some(t) => t.lookup(code as u8),
             None => Bf16::from_bits(code),
@@ -417,7 +422,8 @@ impl DecompressEngine for WordParallelEngine {
         scratch: &mut DecompressScratch,
         out: &mut DenseTile,
     ) -> Result<(), CompressError> {
-        let plan = prepare(FormatLuts::shared(), tile, scratch)?;
+        let plan = prepare(FormatLuts::shared(), tile)?;
+        tile.unpack_nonzeros_into(&mut scratch.codes);
         let (table, group) = (plan.table, plan.group);
         // Promote the group scales once per tile instead of once per element
         // (bit-exact: the per-element multiply uses the same BF16 value).
@@ -453,8 +459,13 @@ impl DecompressEngine for WordParallelEngine {
                 *slot = value_of(code);
             }
         } else {
-            for (pos, (slot, &code)) in dst.iter_mut().zip(codes).enumerate() {
-                *slot = value_of(code) * group_scales[pos / group];
+            // One scale per group-sized run of positions: no per-element
+            // group index.
+            let runs = dst.chunks_mut(group).zip(codes.chunks(group));
+            for ((run, run_codes), &scale) in runs.zip(group_scales) {
+                for (slot, &code) in run.iter_mut().zip(run_codes) {
+                    *slot = value_of(code) * scale;
+                }
             }
         }
         Ok(())
@@ -466,18 +477,27 @@ impl DecompressEngine for WordParallelEngine {
 /// On `x86_64` hosts with AVX2 (checked at runtime, never assumed at
 /// compile time) each tile takes a three-stage vector pipeline:
 ///
-/// 1. **Dequantize** — codes are looked up 16 at a time through two 8-lane
-///    `vpgatherdd` gathers into a `u32`-widened mirror of the shared
-///    [`FormatLuts`] tables (BF16 codes pass through untouched).
+/// 1. **Dequantize** — 4-bit LUT formats (`Fp4`, `Int4`, 4-bit `Custom`)
+///    read the packed payload directly: 16 bytes are split into low and
+///    high nibbles and interleaved back into code order, then one `pshufb`
+///    per BF16 byte plane looks 16 codes up in the format's 16-entry table
+///    and an interleave joins the planes. Wider formats unpack their codes
+///    and look them up 16 at a time through two 8-lane `vpgatherdd`
+///    gathers into a `u32`-widened mirror of the shared [`FormatLuts`]
+///    tables (BF16 codes pass through untouched).
 /// 2. **Expand** — sparse tiles scatter the compacted values to their dense
 ///    positions one bitmask byte (8 positions) per `pshufb`, driven by a
 ///    256-entry precomputed shuffle-control table; cleared positions
 ///    zero-fill in the same shuffle, so the whole tile is written without a
 ///    separate memset.
-/// 3. **Scale** — group-quantized tiles multiply 8 lanes at a time in f32
-///    and round back to BF16 with the exact integer round-to-nearest-even
-///    and NaN-quieting steps of `Bf16::from_f32`, keeping the output
-///    bit-identical to [`ScalarEngine`].
+/// 3. **Scale** — an E8M0 scale is a power of two. When every scale code of
+///    the tile is in 1..=254 and every nonzero table entry shifted by it
+///    stays a normal BF16, the product is exact, so the pass adds
+///    `(code - 127) << 7` to every lane of nonzero magnitude, 16 lanes at a
+///    time. Any other group-quantized tile multiplies 8 lanes at a time in
+///    f32 and rounds back to BF16 with the exact integer
+///    round-to-nearest-even and NaN-quieting steps of `Bf16::from_f32`.
+///    Both keep the output bit-identical to [`ScalarEngine`].
 ///
 /// Everywhere else — non-x86 hosts, x86 without AVX2, engines built with
 /// [`SimdEngine::portable`], or tiles whose scale metadata the vector scale
@@ -540,7 +560,7 @@ impl DecompressEngine for SimdEngine {
         scratch: &mut DecompressScratch,
         out: &mut DenseTile,
     ) -> Result<(), CompressError> {
-        let plan = prepare(FormatLuts::shared(), tile, scratch)?;
+        let plan = prepare(FormatLuts::shared(), tile)?;
         // Promote the group scales once per tile (bit-exact: the multiply
         // sees the same BF16 value the scalar engine promotes per element).
         scratch.group_scales.clear();
@@ -581,6 +601,7 @@ mod portable {
             ..
         } = scratch;
         // Stage 1: dequantize the packed codes, four lanes per step.
+        tile.unpack_nonzeros_into(codes);
         values.clear();
         match plan.table {
             Some(table) => {
@@ -640,22 +661,26 @@ mod portable {
 /// the kernels, `unsafe` is confined to pointer-based loads/stores/gathers,
 /// each with its bounds argument documented; all staging buffers carry
 /// [`LANE_PAD`] trailing zeros so full-width vector accesses past a logical
-/// end stay in bounds.
+/// end stay in bounds. The 4-bit kernel reads the packed payload of a tile
+/// that [`CompressedTile::validate`] has already accepted, and re-asserts
+/// the payload length it relies on.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code, clippy::cast_possible_wrap)]
 mod simd_x86 {
     use core::arch::x86_64::{
-        __m256, __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_blendv_epi8,
-        _mm256_castps_si256, _mm256_castsi256_ps, _mm256_castsi256_si128, _mm256_cmp_ps,
-        _mm256_cvtepu16_epi32, _mm256_extracti128_si256, _mm256_i32gather_epi32,
-        _mm256_loadu_si256, _mm256_mul_ps, _mm256_or_si256, _mm256_packus_epi32,
-        _mm256_permute4x64_epi64, _mm256_set1_epi32, _mm256_set1_ps, _mm256_slli_epi32,
-        _mm256_srli_epi32, _mm256_storeu_si256, _mm_loadu_si128, _mm_shuffle_epi8,
-        _mm_storeu_si128, _CMP_UNORD_Q,
+        __m128i, __m256, __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_and_si256,
+        _mm256_andnot_si256, _mm256_blendv_epi8, _mm256_castps_si256, _mm256_castsi256_ps,
+        _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cmpeq_epi16, _mm256_cvtepu16_epi32,
+        _mm256_extracti128_si256, _mm256_i32gather_epi32, _mm256_loadu_si256, _mm256_mul_ps,
+        _mm256_or_si256, _mm256_packus_epi32, _mm256_permute4x64_epi64, _mm256_set1_epi16,
+        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_si256, _mm256_slli_epi32,
+        _mm256_srli_epi32, _mm256_storeu_si256, _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8,
+        _mm_shuffle_epi8, _mm_srli_epi16, _mm_storeu_si128, _mm_unpackhi_epi8, _mm_unpacklo_epi8,
+        _CMP_UNORD_Q,
     };
     use std::sync::OnceLock;
 
-    use deca_numerics::Bf16;
+    use deca_numerics::{mx::ScaleE8M0, Bf16, DequantTable};
 
     use super::{lut_slot, DecompressScratch, FormatLuts, TilePlan};
     use crate::{CompressedTile, DenseTile, TILE_ELEMS};
@@ -694,22 +719,81 @@ mod simd_x86 {
         true
     }
 
-    /// 256-entry `u32`-widened mirrors of [`FormatLuts::shared`]'s tables,
-    /// slot for slot, as `vpgatherdd` sources (zero-extended BF16 bits).
-    fn simd_luts() -> &'static [[u32; 256]] {
-        static LUTS: OnceLock<Vec<[u32; 256]>> = OnceLock::new();
+    /// The vector kernels' view of one [`FormatLuts`] table.
+    struct SimdLut {
+        /// The table `u32`-widened as a `vpgatherdd` source (zero-extended
+        /// BF16 bits).
+        wide: [u32; 256],
+        /// For 4-bit formats, the 16 entries split into their low-byte and
+        /// high-byte planes: the two `pshufb` tables of the nibble path.
+        nibble_planes: Option<[[u8; 16]; 2]>,
+        /// The lowest and highest exponent field over the table's nonzero
+        /// entries, or `None` if any nonzero entry is subnormal, infinite or
+        /// NaN (where an exponent add cannot stand in for the multiply).
+        exponents: Option<(i32, i32)>,
+    }
+
+    impl SimdLut {
+        fn new(table: &DequantTable) -> Self {
+            let mut wide = [0u32; 256];
+            for (slot, entry) in wide.iter_mut().zip(table.entries()) {
+                *slot = u32::from(entry.to_bits());
+            }
+            let nibble_planes = (table.format().bits() == 4).then(|| {
+                let mut planes = [[0u8; 16]; 2];
+                for (code, entry) in table.entries()[..16].iter().enumerate() {
+                    let [lo, hi] = entry.to_bits().to_le_bytes();
+                    planes[0][code] = lo;
+                    planes[1][code] = hi;
+                }
+                planes
+            });
+            SimdLut {
+                wide,
+                nibble_planes,
+                exponents: normal_exponent_range(table.entries()),
+            }
+        }
+    }
+
+    fn normal_exponent_range(entries: &[Bf16]) -> Option<(i32, i32)> {
+        let mut range: Option<(i32, i32)> = None;
+        for entry in entries.iter().filter(|e| !e.is_zero()) {
+            let exp = i32::from((entry.to_bits() >> 7) & 0xFF);
+            if exp == 0 || exp == 0xFF {
+                return None;
+            }
+            range = Some(range.map_or((exp, exp), |(lo, hi)| (lo.min(exp), hi.max(exp))));
+        }
+        range
+    }
+
+    /// [`SimdLut`]s for [`FormatLuts::shared`]'s tables, slot for slot.
+    fn simd_luts() -> &'static [SimdLut] {
+        static LUTS: OnceLock<Vec<SimdLut>> = OnceLock::new();
         LUTS.get_or_init(|| {
             FormatLuts::shared()
                 .tables
                 .iter()
-                .map(|table| {
-                    let mut lut = [0u32; 256];
-                    for (slot, entry) in lut.iter_mut().zip(table.entries()) {
-                        *slot = u32::from(entry.to_bits());
-                    }
-                    lut
-                })
+                .map(SimdLut::new)
                 .collect()
+        })
+    }
+
+    /// Whether scaling by every one of `scales` is an exact exponent add on
+    /// every entry of a table whose nonzero entries span `exponents`: each
+    /// scale is a normal power of two (E8M0 code 1..=254), and each shifted
+    /// entry stays a normal BF16. The product of a normal BF16 and a power
+    /// of two that stays normal is exact, so `Bf16::from_f32`'s rounding
+    /// never fires and the multiply reduces to adding `code - 127` to the
+    /// exponent field.
+    fn scales_are_exponent_adds(exponents: Option<(i32, i32)>, scales: &[ScaleE8M0]) -> bool {
+        let Some((lo, hi)) = exponents else {
+            return false;
+        };
+        scales.iter().all(|s| {
+            let shift = i32::from(s.code()) - 127;
+            (1..=254).contains(&s.code()) && lo + shift >= 1 && hi + shift <= 254
         })
     }
 
@@ -726,18 +810,33 @@ mod simd_x86 {
             values,
             bits,
         } = scratch;
-        let slot = lut_slot(tile.scheme().format());
-        match tile.bitmask() {
-            Some(mask) => {
-                // Sparse: dequantize the compacted run, then scatter it.
-                dequant_codes(codes, slot, values);
-                expand_sparse(mask.words(), values, bits);
-            }
-            // Dense: dequantize straight into the whole-tile staging.
-            None => dequant_codes(codes, slot, bits),
+        let lut = lut_slot(tile.scheme().format()).map(|slot| &simd_luts()[slot]);
+        let mask = tile.bitmask();
+        // Stage 1, dequantize: sparse tiles into the compacted run, dense
+        // tiles straight into the whole-tile staging.
+        let staged = if mask.is_some() {
+            &mut *values
+        } else {
+            &mut *bits
+        };
+        if let Some(planes) = lut.and_then(|l| l.nibble_planes.as_ref()) {
+            dequant_nibbles(tile.nonzero_bytes(), tile.nonzero_count(), planes, staged);
+        } else {
+            tile.unpack_nonzeros_into(codes);
+            dequant_codes(codes, lut.map(|l| &l.wide), staged);
         }
+        // Stage 2, expand: scatter the compacted run to its positions.
+        if let Some(mask) = mask {
+            expand_sparse(mask.words(), values, bits);
+        }
+        // Stage 3, scale.
         if !group_scales.is_empty() {
-            scale_bits(&mut bits[..TILE_ELEMS], group_scales, plan.group);
+            let bits = &mut bits[..TILE_ELEMS];
+            if lut.is_some_and(|l| scales_are_exponent_adds(l.exponents, plan.scales)) {
+                add_scale_exponents(bits, plan.scales, plan.group);
+            } else {
+                scale_bits(bits, group_scales, plan.group);
+            }
         }
         // Publish the staged bit patterns into the caller's tile.
         for (dst, &b) in out.elements_mut().iter_mut().zip(bits.iter()) {
@@ -745,18 +844,83 @@ mod simd_x86 {
         }
     }
 
-    /// Dequantizes `codes` into `dst` (cleared first, `LANE_PAD` zeros
-    /// appended): 16 codes per iteration through two 8-lane gathers, or a
-    /// plain copy for BF16 passthrough (`slot == None`).
+    /// Dequantizes the first `count` 4-bit codes packed in `bytes` (two per
+    /// byte, low nibble first) into `dst` (cleared first, `LANE_PAD` zeros
+    /// appended), 32 codes per iteration: split each byte's nibbles and
+    /// interleave them back into code order, then look every code up with
+    /// one `pshufb` per BF16 byte plane and interleave the two planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` holds fewer than `count` nibbles (a tile that
+    /// failed [`CompressedTile::validate`]).
     #[target_feature(enable = "avx2")]
-    fn dequant_codes(codes: &[u16], slot: Option<usize>, dst: &mut Vec<u16>) {
+    fn dequant_nibbles(bytes: &[u8], count: usize, planes: &[[u8; 16]; 2], dst: &mut Vec<u16>) {
+        assert!(
+            bytes.len() * 2 >= count,
+            "payload of {} bytes cannot hold {count} nibbles",
+            bytes.len()
+        );
         dst.clear();
-        let Some(slot) = slot else {
+        dst.resize(count + LANE_PAD, 0);
+        // SAFETY: both planes are 16-byte arrays.
+        let (lo_plane, hi_plane) = unsafe {
+            (
+                _mm_loadu_si128(planes[0].as_ptr().cast()),
+                _mm_loadu_si128(planes[1].as_ptr().cast()),
+            )
+        };
+        let nibble = _mm_set1_epi8(0x0F);
+        let mut i = 0usize;
+        while i + 32 <= count {
+            // SAFETY: `i + 32 <= count <= 2 * bytes.len()` (asserted above),
+            // so the 16-byte load at byte `i / 2` is in bounds; `dst` holds
+            // `count + LANE_PAD` entries, bounding the 32 stores from `i`.
+            unsafe {
+                let packed = _mm_loadu_si128(bytes.as_ptr().add(i / 2).cast());
+                let lo = _mm_and_si128(packed, nibble);
+                let hi = _mm_and_si128(_mm_srli_epi16::<4>(packed), nibble);
+                let out = dst.as_mut_ptr().add(i);
+                lookup_16(_mm_unpacklo_epi8(lo, hi), lo_plane, hi_plane, out);
+                lookup_16(_mm_unpackhi_epi8(lo, hi), lo_plane, hi_plane, out.add(16));
+            }
+            i += 32;
+        }
+        for (pos, d) in dst[..count].iter_mut().enumerate().skip(i) {
+            let byte = bytes[pos / 2];
+            let code = if pos % 2 == 0 { byte & 0x0F } else { byte >> 4 };
+            *d = u16::from_le_bytes([planes[0][usize::from(code)], planes[1][usize::from(code)]]);
+        }
+    }
+
+    /// Looks up 16 codes (one per byte of `codes`, each in 0..16) in the two
+    /// byte planes and stores the 16 BF16 bit patterns at `dst`.
+    ///
+    /// # Safety
+    ///
+    /// `dst` must be valid for writing 16 `u16`s.
+    #[target_feature(enable = "avx2")]
+    unsafe fn lookup_16(codes: __m128i, lo_plane: __m128i, hi_plane: __m128i, dst: *mut u16) {
+        let lo = _mm_shuffle_epi8(lo_plane, codes);
+        let hi = _mm_shuffle_epi8(hi_plane, codes);
+        // SAFETY: the caller guarantees 16 writable lanes at `dst`.
+        unsafe {
+            _mm_storeu_si128(dst.cast(), _mm_unpacklo_epi8(lo, hi));
+            _mm_storeu_si128(dst.add(8).cast(), _mm_unpackhi_epi8(lo, hi));
+        }
+    }
+
+    /// Dequantizes `codes` into `dst` (cleared first, `LANE_PAD` zeros
+    /// appended): 16 codes per iteration through two 8-lane gathers from
+    /// `lut`, or a plain copy for BF16 passthrough (`lut == None`).
+    #[target_feature(enable = "avx2")]
+    fn dequant_codes(codes: &[u16], lut: Option<&[u32; 256]>, dst: &mut Vec<u16>) {
+        dst.clear();
+        let Some(lut) = lut else {
             dst.extend_from_slice(codes);
             dst.resize(codes.len() + LANE_PAD, 0);
             return;
         };
-        let lut = &simd_luts()[slot];
         dst.resize(codes.len() + LANE_PAD, 0);
         let index_mask = _mm256_set1_epi32(0xFF);
         let base = lut.as_ptr().cast::<i32>();
@@ -869,6 +1033,31 @@ mod simd_x86 {
                 let packed = _mm256_packus_epi32(lo, hi);
                 let fixed = _mm256_permute4x64_epi64::<0b11_01_10_00>(packed);
                 _mm256_storeu_si256(bits.as_mut_ptr().add(pos).cast(), fixed);
+            }
+            pos += 16;
+        }
+    }
+
+    /// Scales every BF16 lane of `bits` by its group's E8M0 scale as an
+    /// exponent add, 16 lanes per step: lanes with a nonzero magnitude gain
+    /// `(code - 127) << 7`, zeros of either sign stay put. Only valid when
+    /// [`scales_are_exponent_adds`] holds; eligibility of the tile also
+    /// guarantees `group % 16 == 0`.
+    #[target_feature(enable = "avx2")]
+    fn add_scale_exponents(bits: &mut [u16], scales: &[ScaleE8M0], group: usize) {
+        let magnitude = _mm256_set1_epi16(0x7FFF);
+        let zero = _mm256_setzero_si256();
+        let mut pos = 0usize;
+        while pos + 16 <= bits.len() {
+            let shift = (i32::from(scales[pos / group].code()) - 127) << 7;
+            let offset = _mm256_set1_epi16(shift as i16);
+            // SAFETY: `pos + 16 <= bits.len()` bounds both the 16-lane load
+            // and the 16-lane store at `pos`.
+            unsafe {
+                let raw = _mm256_loadu_si256(bits.as_ptr().add(pos).cast());
+                let is_zero = _mm256_cmpeq_epi16(_mm256_and_si256(raw, magnitude), zero);
+                let scaled = _mm256_add_epi16(raw, _mm256_andnot_si256(is_zero, offset));
+                _mm256_storeu_si256(bits.as_mut_ptr().add(pos).cast(), scaled);
             }
             pos += 16;
         }

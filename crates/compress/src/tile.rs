@@ -211,10 +211,18 @@ pub fn unpack_codes_into(bytes: &[u8], bits: u32, count: usize, out: &mut Vec<u1
                 .map(|pair| u16::from_le_bytes([pair[0], pair[1]])),
         ),
         8 => out.extend(bytes.iter().take(count).map(|&b| u16::from(b))),
-        4 => out.extend((0..count).map(|i| {
-            let byte = bytes[i / 2];
-            u16::from(if i % 2 == 0 { byte & 0x0F } else { byte >> 4 })
-        })),
+        4 => {
+            // Two codes per byte, low nibble first; an odd count ends on the
+            // low nibble of one more byte.
+            out.resize(count, 0);
+            for (pair, &byte) in out.chunks_exact_mut(2).zip(bytes) {
+                pair[0] = u16::from(byte & 0x0F);
+                pair[1] = u16::from(byte >> 4);
+            }
+            if count % 2 == 1 {
+                out[count - 1] = u16::from(bytes[count / 2] & 0x0F);
+            }
+        }
         _ => {
             let mut bit_pos = 0usize;
             for _ in 0..count {
@@ -500,6 +508,17 @@ mod tests {
             assert_eq!(packed.len(), (codes.len() * bits as usize).div_ceil(8));
             let unpacked = unpack_codes(&packed, bits, codes.len());
             assert_eq!(unpacked, codes, "bit width {bits}");
+        }
+    }
+
+    #[test]
+    fn four_bit_codes_round_trip_for_every_count() {
+        let mut unpacked = Vec::new();
+        for count in 0..=513usize {
+            let codes: Vec<u16> = (0..count).map(|i| ((i * 7 + count) % 16) as u16).collect();
+            let packed = pack_codes(&codes, 4);
+            unpack_codes_into(&packed, 4, count, &mut unpacked);
+            assert_eq!(unpacked, codes, "count {count}");
         }
     }
 

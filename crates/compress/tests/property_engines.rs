@@ -9,9 +9,9 @@
 use deca_compress::{
     generator::WeightGenerator, pack_codes, Bitmask, CompressError, CompressedTile,
     CompressionScheme, Compressor, DecompressEngine, DecompressScratch, Decompressor, DenseTile,
-    EngineKind, SimdEngine, TILE_ELEMS,
+    EngineKind, ScalarEngine, SimdEngine, TILE_ELEMS,
 };
-use deca_numerics::QuantFormat;
+use deca_numerics::{mx::ScaleE8M0, QuantFormat};
 use proptest::prelude::*;
 
 /// Every quantized format × dense/sparse combination the substrate
@@ -146,6 +146,113 @@ proptest! {
             }
         }
     }
+
+    /// `Int4` with group scales, dense and sparse, under the compressor's
+    /// scales and under arbitrary forged scale codes (normal, subnormal,
+    /// infinite, and shifts that push entries out of the normal range).
+    #[test]
+    fn int4_group_scaled_tiles_match_the_scalar_engine(
+        seed in 0u64..500,
+        density_pct in 5u32..=100,
+        forged_scales in proptest::collection::vec(any::<u8>(), 16),
+    ) {
+        let scheme = CompressionScheme::new(QuantFormat::Int4, f64::from(density_pct) / 100.0, Some(32))
+            .expect("valid scheme");
+        let tile = WeightGenerator::new(seed).dense_matrix(16, 32).tile(0, 0);
+        let compressed = Compressor::new(scheme).compress_tile(&tile).expect("compress");
+        let forged = CompressedTile::new_unchecked(
+            scheme,
+            compressed.nonzero_bytes().to_vec(),
+            compressed.nonzero_count(),
+            compressed.bitmask().cloned(),
+            forged_scales.into_iter().map(ScaleE8M0::from_code).collect(),
+        );
+        for tile in [&compressed, &forged] {
+            if let Err(msg) = engines_agree_with_scalar(tile) {
+                return Err(TestCaseError::fail(format!("{msg} under {scheme}")));
+            }
+        }
+    }
+}
+
+/// Every engine, plus the forced portable fallback of the SIMD engine,
+/// against [`ScalarEngine`] on one tile: `Err` names the first disagreement.
+fn engines_agree_with_scalar(tile: &CompressedTile) -> Result<(), String> {
+    let expected = decompress_with(&ScalarEngine::new(), tile);
+    let mut engines: Vec<(String, Box<dyn DecompressEngine>)> = EngineKind::all()
+        .into_iter()
+        .map(|kind| (kind.to_string(), kind.build()))
+        .collect();
+    engines.push((
+        "simd-portable".to_string(),
+        Box::new(SimdEngine::portable()),
+    ));
+    for (name, engine) in &engines {
+        let out = decompress_with(engine.as_ref(), tile);
+        for (pos, (a, b)) in expected.elements().iter().zip(out.elements()).enumerate() {
+            if a.to_bits() != b.to_bits() {
+                return Err(format!(
+                    "{name} gives {:#06x} at position {pos}, scalar {:#06x}",
+                    b.to_bits(),
+                    a.to_bits()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A sparse bitmask with an odd popcount (341 of 512), so the 4-bit
+/// kernels run their vector body and an odd-length tail.
+fn odd_popcount_mask() -> Bitmask {
+    let mut mask = Bitmask::new(TILE_ELEMS);
+    for pos in (0..TILE_ELEMS).filter(|pos| pos % 3 != 0) {
+        mask.set(pos, true);
+    }
+    mask
+}
+
+/// Forged MXFP4 tiles that put every 4-bit code in every scale group under
+/// every E8M0 scale code, dense and sparse. Each scale code runs twice: on
+/// all 16 groups of a tile (so an eligible code takes the exponent-add
+/// scale pass) and mixed with 15 other codes (so one ineligible group sends
+/// the whole tile to the multiply).
+#[test]
+fn every_four_bit_code_under_every_scale_code_matches_the_scalar_engine() {
+    let mask = odd_popcount_mask();
+    let dense_codes: Vec<u16> = (0..TILE_ELEMS).map(|pos| (pos % 16) as u16).collect();
+    let sparse_codes: Vec<u16> = (0..mask.popcount())
+        .map(|i| ((i * 5) % 16) as u16)
+        .collect();
+    for code in 0..=255u8 {
+        let uniform = vec![ScaleE8M0::from_code(code); 16];
+        let mixed: Vec<ScaleE8M0> = (0..16u8)
+            .map(|g| ScaleE8M0::from_code(code.wrapping_add(g.wrapping_mul(17))))
+            .collect();
+        for scales in [uniform, mixed] {
+            let dense = CompressedTile::new_unchecked(
+                CompressionScheme::mxfp4(),
+                pack_codes(&dense_codes, 4),
+                TILE_ELEMS,
+                None,
+                scales.clone(),
+            );
+            let sparse = CompressedTile::new_unchecked(
+                CompressionScheme::mxfp4_sparse(0.5),
+                pack_codes(&sparse_codes, 4),
+                sparse_codes.len(),
+                Some(mask.clone()),
+                scales,
+            );
+            for tile in [&dense, &sparse] {
+                tile.validate()
+                    .expect("forged tiles are structurally valid");
+                if let Err(msg) = engines_agree_with_scalar(tile) {
+                    panic!("scale code {code} on {}: {msg}", tile.scheme());
+                }
+            }
+        }
+    }
 }
 
 /// A sparse tile whose bitmask claims more nonzeros than the payload stores
@@ -169,6 +276,20 @@ fn forged_short_dense() -> CompressedTile {
     CompressedTile::new_unchecked(scheme, bytes, codes.len(), None, vec![])
 }
 
+/// A dense MXFP4 tile whose payload holds 400 of its 512 nibbles: the 4-bit
+/// kernel reads the payload through raw pointers, so validation must reject
+/// the tile before it runs.
+fn forged_short_dense_nibbles() -> CompressedTile {
+    let codes = vec![7u16; 400];
+    CompressedTile::new_unchecked(
+        CompressionScheme::mxfp4(),
+        pack_codes(&codes, 4),
+        TILE_ELEMS,
+        None,
+        vec![ScaleE8M0::ONE; 16],
+    )
+}
+
 /// A group-quantized tile whose scale vector was truncated (or stripped):
 /// indexing `scales[pos / group]` must never be reachable.
 fn forged_scale_count(scales: usize) -> CompressedTile {
@@ -180,7 +301,7 @@ fn forged_scale_count(scales: usize) -> CompressedTile {
         bytes,
         TILE_ELEMS,
         None,
-        vec![deca_numerics::mx::ScaleE8M0::ONE; scales],
+        vec![ScaleE8M0::ONE; scales],
     )
 }
 
@@ -216,18 +337,20 @@ fn every_engine_rejects_a_popcount_mismatch() {
 
 #[test]
 fn every_engine_rejects_a_short_dense_tile() {
-    let forged = forged_short_dense();
-    for kind in EngineKind::all() {
-        let engine = kind.build();
-        let mut out = DenseTile::zero();
-        let mut scratch = DecompressScratch::new();
-        let err = engine
-            .decompress_tile_into(&forged, &mut scratch, &mut out)
-            .expect_err("short dense payload must be rejected");
-        assert!(
-            matches!(err, CompressError::CorruptTile { .. }),
-            "{kind}: {err}"
-        );
+    for forged in [forged_short_dense(), forged_short_dense_nibbles()] {
+        for kind in EngineKind::all() {
+            let engine = kind.build();
+            let mut out = DenseTile::zero();
+            let mut scratch = DecompressScratch::new();
+            let err = engine
+                .decompress_tile_into(&forged, &mut scratch, &mut out)
+                .expect_err("short dense payload must be rejected");
+            assert!(
+                matches!(err, CompressError::CorruptTile { .. }),
+                "{kind} under {}: {err}",
+                forged.scheme()
+            );
+        }
     }
 }
 

@@ -38,11 +38,17 @@ impl ScaleE8M0 {
         2f32.powi(i32::from(self.0) - 127)
     }
 
-    /// The scale as BF16 (exactly representable: it is a power of two within
-    /// BF16's exponent range).
+    /// The scale as BF16, built directly from the code: a power of two
+    /// `2^(code-127)` is exponent field `code` with a zero mantissa. The two
+    /// ends match `Bf16::from_f32(self.value())`: code 0 (`2^-127`) is the
+    /// BF16 subnormal `0x0040`, and code 255 overflows `value()` to +inf.
     #[must_use]
     pub fn to_bf16(self) -> Bf16 {
-        Bf16::from_f32(self.value())
+        match self.0 {
+            0 => Bf16::from_bits(0x0040),
+            255 => Bf16::from_bits(0x7F80),
+            code => Bf16::from_bits(u16::from(code) << 7),
+        }
     }
 
     /// Picks the scale for a group: `2^(floor(log2(max_abs)) - emax_elem)`,
@@ -184,6 +190,18 @@ mod tests {
         assert_eq!(ScaleE8M0::from_code(126).value(), 0.5);
         assert_eq!(ScaleE8M0::from_code(130).code(), 130);
         assert_eq!(ScaleE8M0::from_code(128).to_bf16().to_f32(), 2.0);
+    }
+
+    #[test]
+    fn bit_built_scales_match_the_f32_conversion_for_every_code() {
+        for code in 0..=255u8 {
+            let s = ScaleE8M0::from_code(code);
+            assert_eq!(
+                s.to_bf16().to_bits(),
+                Bf16::from_f32(s.value()).to_bits(),
+                "code {code}"
+            );
+        }
     }
 
     #[test]
